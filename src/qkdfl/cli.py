@@ -52,7 +52,7 @@ def _load_config(path: str, seed_override: int | None = None) -> ExperimentConfi
 def cmd_run(args) -> int:
     cfg = _load_config(args.config, args.seed)
     out_dir = args.out or cfg.out_dir or f"runs/exp_{cfg.experiment.lower()}"
-    manifest = run_experiment(cfg, out_dir, jobs=max(1, args.jobs))
+    manifest = run_experiment(cfg, out_dir, jobs=args.jobs)
     print(f"run complete: {out_dir}")
     for name in manifest["files"]:
         print(f"  {name}")
@@ -83,6 +83,9 @@ def main(argv=None) -> int:
         return 1
     except QkdflError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # any other failure: one line, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

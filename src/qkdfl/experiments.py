@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,12 +171,20 @@ class ExperimentConfig:
             if not cond:
                 raise ConfigError(f"{source}.{field}: {msg}")
 
+        def is_int(v) -> bool:
+            return isinstance(v, int) and not isinstance(v, bool)
+
+        def check_positive_ints(field: str, values: tuple, count: int) -> None:
+            check(len(values) == count, field, f"must have {count} entries")
+            for i, v in enumerate(values):
+                check(is_int(v) and v >= 1, f"{field}[{i}]", "must be a positive integer")
+
         check(self.experiment in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
         check(self.task in TASKS, "task", f"must be one of {TASKS}")
-        check(isinstance(self.seed, int), "seed", "must be an integer")
+        check(is_int(self.seed), "seed", "must be an integer")
         check(len(self.clients) > 0, "clients", "must be nonempty")
         for i, k in enumerate(self.clients):
-            check(isinstance(k, int) and k >= 2, f"clients[{i}]", "must be an integer >= 2")
+            check(is_int(k) and k >= 2, f"clients[{i}]", "must be an integer >= 2")
         check(self.rounds >= 1, "rounds", "must be >= 1")
         check(len(self.modes) > 0, "modes", "must be nonempty")
         for i, m in enumerate(self.modes):
@@ -200,6 +209,11 @@ class ExperimentConfig:
               "partition_skew", "must be positive")
         check(self.radar_size >= 16, "radar_size", "must be >= 16")
         check(self.radar_size % 8 == 0, "radar_size", "must be divisible by 8")
+        check_positive_ints("channel_dims", self.channel_dims, 2)
+        check_positive_ints("channel_widths", self.channel_widths, 2)
+        check_positive_ints("encoder_filters", self.encoder_filters, 3)
+        check(is_int(self.bottleneck_filters) and self.bottleneck_filters >= 1,
+              "bottleneck_filters", "must be a positive integer")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -308,9 +322,16 @@ def _run_fl_cell(args) -> tuple[dict, list[dict]]:
     return summary, round_dicts
 
 
+def worker_count(jobs: int, cells: int) -> int:
+    """Worker processes for `jobs` requested over `cells` cells: never more
+    than there are cells or cores, and at least one."""
+    return max(1, min(jobs, cells, os.cpu_count() or 1))
+
+
 def _map_cells(fn, cells, jobs: int):
-    if jobs > 1 and len(cells) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, cells))
     return [fn(c) for c in cells]
 
@@ -472,6 +493,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
 
     Returns the manifest dict.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()

@@ -52,7 +52,26 @@ class ModelSpec:
             raise ValueError(f"unknown task {self.task!r}")
 
 
-class ChannelNet:
+class _ConvNet:
+    """Parameter plumbing shared by the task models, over `self.convs` in order."""
+
+    convs: list[Conv2D]
+
+    def init_params(self, rng: np.random.Generator) -> None:
+        for conv in self.convs:
+            conv.init_params(rng)
+
+    def param_arrays(self) -> list[np.ndarray]:
+        return [a for conv in self.convs for a in (conv.w, conv.b)]
+
+    def _grad_arrays(self) -> list[np.ndarray]:
+        return [g for conv in self.convs for g in (conv.dw, conv.db)]
+
+    def param_names(self) -> list[str]:
+        return [f"{conv.name}.{p}" for conv in self.convs for p in ("w", "b")]
+
+
+class ChannelNet(_ConvNet):
     """Pilot spectrogram -> channel magnitude map, same spatial shape."""
 
     KERNELS = (9, 5, 5)
@@ -61,14 +80,10 @@ class ChannelNet:
         w1, w2 = spec.channel_widths
         widths = (1, w1, w2, 1)
         self.convs = [
-            Conv2D(f"conv{i + 1}", k, k, widths[i], widths[i + 1])
+            Conv2D(f"conv{i + 1}", k, k, widths[i], widths[i + 1], input_grad=i > 0)
             for i, k in enumerate(self.KERNELS)
         ]
         self.acts = [Activation("selu"), Activation("softplus"), Activation("selu")]
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        for conv in self.convs:
-            conv.init_params(rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = x
@@ -83,32 +98,14 @@ class ChannelNet:
             d = conv.backward(act.backward(d))
         return loss, self._grad_arrays()
 
-    def param_arrays(self) -> list[np.ndarray]:
-        out = []
-        for conv in self.convs:
-            out.extend([conv.w, conv.b])
-        return out
 
-    def _grad_arrays(self) -> list[np.ndarray]:
-        out = []
-        for conv in self.convs:
-            out.extend([conv.dw, conv.db])
-        return out
-
-    def param_names(self) -> list[str]:
-        out = []
-        for conv in self.convs:
-            out.extend([f"{conv.name}.w", f"{conv.name}.b"])
-        return out
-
-
-class SegNet:
+class SegNet(_ConvNet):
     """Spectrogram -> per-pixel class logits via an encoder-decoder with skips."""
 
     def __init__(self, spec: ModelSpec):
         f1, f2, f3 = spec.encoder_filters
         fb = spec.bottleneck_filters
-        self.enc1 = Conv2D("enc1", 3, 3, 3, f1)
+        self.enc1 = Conv2D("enc1", 3, 3, 3, f1, input_grad=False)
         self.enc2 = Conv2D("enc2", 3, 3, f1, f2)
         self.enc3 = Conv2D("enc3", 3, 3, f2, f3)
         self.bott = Conv2D("bott", 3, 3, f3, fb)
@@ -124,10 +121,6 @@ class SegNet:
         self.pools = [MaxPool2() for _ in range(3)]
         self.ups = [UpsampleNearest2() for _ in range(3)]
         self._split = (fb, f3, f2)  # upsampled channel counts at each concat
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        for conv in self.convs:
-            conv.init_params(rng)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, h, w, c = x.shape
@@ -170,24 +163,6 @@ class SegNet:
         de1 = self.pools[0].backward(dp1) + dskip1
         self.enc1.backward(self.relus["enc1"].backward(de1))
         return loss, self._grad_arrays()
-
-    def param_arrays(self) -> list[np.ndarray]:
-        out = []
-        for conv in self.convs:
-            out.extend([conv.w, conv.b])
-        return out
-
-    def _grad_arrays(self) -> list[np.ndarray]:
-        out = []
-        for conv in self.convs:
-            out.extend([conv.dw, conv.db])
-        return out
-
-    def param_names(self) -> list[str]:
-        out = []
-        for conv in self.convs:
-            out.extend([f"{conv.name}.w", f"{conv.name}.b"])
-        return out
 
 
 def build_model(spec: ModelSpec):

@@ -27,14 +27,34 @@ def truncated_normal_init(
     return np.asarray(draws, dtype=np.float64).reshape(shape)
 
 
-class Conv2D:
-    """Same-padded stride-1 convolution via im2col."""
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Same-padded kh x kw windows of NHWC `x`, one row per output pixel.
 
-    def __init__(self, name: str, kh: int, kw: int, cin: int, cout: int):
+    Rows are ordered (kh, kw, c) to match a (kh, kw, c, cout) kernel reshaped
+    to (kh * kw * c, cout).
+    """
+    n, h, w, c = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    return cols.reshape(n * h * w, kh * kw * c)
+
+
+class Conv2D:
+    """Same-padded stride-1 convolution via im2col.
+
+    With `input_grad=False` (a model's input layer, whose gradient with
+    respect to the data nobody uses) backward() fills dw/db and returns None.
+    """
+
+    def __init__(self, name: str, kh: int, kw: int, cin: int, cout: int,
+                 input_grad: bool = True):
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError("same padding requires odd kernel sizes")
         self.name = name
         self.kh, self.kw, self.cin, self.cout = kh, kw, cin, cout
+        self.input_grad = input_grad
         self.w = np.zeros((kh, kw, cin, cout))
         self.b = np.zeros(cout)
         self.dw = np.zeros_like(self.w)
@@ -50,31 +70,22 @@ class Conv2D:
         n, h, w, cin = x.shape
         if cin != self.cin:
             raise ValueError(f"{self.name}: expected {self.cin} input channels, got {cin}")
-        ph, pw = self.kh // 2, self.kw // 2
-        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-        windows = sliding_window_view(xp, (self.kh, self.kw), axis=(1, 2))
-        # (n, h, w, cin, kh, kw) -> rows ordered (kh, kw, cin) to match w.reshape
-        cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-        cols = cols.reshape(n * h * w, self.kh * self.kw * self.cin)
-        out = cols @ self.w.reshape(-1, self.cout) + self.b
-        self._cols = cols
+        self._cols = _im2col(x, self.kh, self.kw)
         self._xshape = x.shape
+        out = self._cols @ self.w.reshape(-1, self.cout) + self.b
         return out.reshape(n, h, w, self.cout)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
         n, h, w, cin = self._xshape
         dy2 = dy.reshape(n * h * w, self.cout)
         self.dw = (self._cols.T @ dy2).reshape(self.w.shape)
         self.db = dy2.sum(axis=0)
-        dcols = (dy2 @ self.w.reshape(-1, self.cout).T).reshape(
-            n, h, w, self.kh, self.kw, cin
-        )
-        ph, pw = self.kh // 2, self.kw // 2
-        dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin))
-        for i in range(self.kh):
-            for j in range(self.kw):
-                dxp[:, i : i + h, j : j + w, :] += dcols[:, :, :, i, j, :]
-        return dxp[:, ph : ph + h, pw : pw + w, :]
+        if not self.input_grad:
+            return None
+        # For a stride-1 same-padded odd kernel, dx is the same convolution of
+        # dy with the kernel rotated 180 degrees and its channel axes swapped.
+        w_t = self.w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin)
+        return (_im2col(dy, self.kh, self.kw) @ w_t).reshape(n, h, w, cin)
 
 
 class Activation:

@@ -60,12 +60,6 @@ def zeros_like(pv: ParamVec) -> ParamVec:
     return ParamVec([(name, np.zeros_like(arr)) for name, arr in pv.entries])
 
 
-def random_like(pv: ParamVec, rng: np.random.Generator, scale: float = 1.0) -> ParamVec:
-    return ParamVec(
-        [(name, scale * rng.standard_normal(arr.shape)) for name, arr in pv.entries]
-    )
-
-
 def add(a: ParamVec, b: ParamVec) -> ParamVec:
     _require_same_structure(a, b)
     return ParamVec(

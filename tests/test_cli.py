@@ -46,6 +46,20 @@ class TestRunVerb:
         cfg = write_cfg(tmp_path, clients=[2, 3])
         assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
 
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "0"]) == 1
+        assert "jobs" in capsys.readouterr().err
+
+    def test_unexpected_error_is_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr("qkdfl.cli.run_experiment", boom)
+        assert main(["run", str(write_cfg(tmp_path)), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: RuntimeError: disk on fire\n"
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "config error" in capsys.readouterr().err
@@ -77,6 +91,22 @@ class TestValidateVerb:
         cfg = write_cfg(tmp_path, rounds=0)
         assert main(["validate", str(cfg)]) == 1
         assert "rounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"channel_dims": [0, 14]}, "channel_dims[0]"),
+            ({"channel_widths": [0, 3]}, "channel_widths[0]"),
+            ({"seed": True}, "seed"),
+        ],
+    )
+    def test_bad_model_fields_exit_code(self, tmp_path, capsys, verb, overrides, field):
+        cfg = write_cfg(tmp_path, **overrides)
+        argv = [verb, str(cfg)] + (["--out", str(tmp_path / "out")] if verb == "run" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
 
     def test_unknown_field_reported(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, typo_field=1)

@@ -12,6 +12,7 @@ from qkdfl.experiments import (
     run_experiment_a,
     run_experiment_b,
     run_experiment_c,
+    worker_count,
 )
 
 BASE_A = {
@@ -46,6 +47,23 @@ class TestConfig:
     def test_bad_value_has_path_context(self):
         with pytest.raises(ConfigError, match=r"clients\[1\]"):
             make_cfg(clients=[3, 1])
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"channel_dims": [0, 14]}, r"channel_dims\[0\]"),
+            ({"channel_dims": [16]}, r"channel_dims: must have 2 entries"),
+            ({"channel_widths": [0, 3]}, r"channel_widths\[0\]"),
+            ({"channel_widths": [12, 2.5]}, r"channel_widths\[1\]"),
+            ({"encoder_filters": [8, -16, 32]}, r"encoder_filters\[1\]"),
+            ({"bottleneck_filters": 0}, r"bottleneck_filters"),
+            ({"bottleneck_filters": True}, r"bottleneck_filters"),
+            ({"seed": True}, r"config\.seed"),
+        ],
+    )
+    def test_bad_model_or_seed_field_named(self, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            make_cfg(**overrides)
 
     def test_task_defaults_applied(self):
         cfg = ExperimentConfig.from_dict(
@@ -226,6 +244,21 @@ class TestRunDirectory:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "parallel" / name
             ).read_bytes()
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "jobs,cells,cores,expect",
+        [(1, 6, 4, 1), (3, 6, 4, 3), (8, 6, 4, 4), (8, 2, 4, 2), (8, 0, 4, 1), (8, 6, None, 1)],
+    )
+    def test_bounded_by_cells_and_cores(self, monkeypatch, jobs, cells, cores, expect):
+        monkeypatch.setattr("qkdfl.experiments.os.cpu_count", lambda: cores)
+        assert worker_count(jobs, cells) == expect
+
+    def test_jobs_below_one_rejected_before_output(self, tmp_path):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_experiment(make_cfg(), tmp_path / "run", jobs=0)
+        assert not (tmp_path / "run").exists()
 
 
 class TestReportLeakage:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.signal import correlate2d
+from scipy.signal import convolve2d, correlate2d
 
 from qkdfl.models import (
     ModelSpec,
@@ -56,6 +56,48 @@ class TestConvForwardOracle:
                     acc += correlate2d(x[n, :, :, ci], conv.w[:, :, ci, co], mode="same")
                 expect[n, :, :, co] = acc + conv.b[co]
         assert np.allclose(out, expect, atol=1e-12)
+
+
+class TestConvBackwardOracle:
+    @staticmethod
+    def _layer(kh, kw, cin, cout, seed, **kwargs):
+        rng = np.random.default_rng(seed)
+        conv = Conv2D("c", kh, kw, cin, cout, **kwargs)
+        conv.w = rng.standard_normal(conv.w.shape)
+        conv.b = rng.standard_normal(cout)
+        return conv
+
+    @pytest.mark.parametrize("kh,kw", [(9, 9), (5, 5), (3, 3), (1, 1), (5, 3)])
+    def test_input_grad_matches_scipy_convolve2d(self, kh, kw):
+        cin, cout = 2, 3
+        conv = self._layer(kh, kw, cin, cout, seed=kh * 10 + kw)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((2, 11, 9, cin))
+        dy = rng.standard_normal((2, 11, 9, cout))
+        conv.forward(x)
+        dx = conv.backward(dy)
+
+        expect = np.zeros_like(x)
+        for n in range(2):
+            for ci in range(cin):
+                for co in range(cout):
+                    expect[n, :, :, ci] += convolve2d(
+                        dy[n, :, :, co], conv.w[:, :, ci, co], mode="same"
+                    )
+        assert np.allclose(dx, expect, atol=1e-12)
+
+    def test_input_layer_skips_dx_but_fills_param_grads(self):
+        full = self._layer(5, 3, 2, 3, seed=7)
+        first = self._layer(5, 3, 2, 3, seed=7, input_grad=False)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((2, 9, 7, 2))
+        dy = rng.standard_normal((2, 9, 7, 3))
+        full.forward(x)
+        first.forward(x)
+        assert full.backward(dy) is not None
+        assert first.backward(dy) is None
+        assert np.array_equal(first.dw, full.dw)
+        assert np.array_equal(first.db, full.db)
 
 
 class TestGradients:
