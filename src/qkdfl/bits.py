@@ -44,19 +44,24 @@ def unpack_bits(data: bytes, num_bits: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:num_bits]
 
 
+_LE64 = struct.Struct("<Q").pack
+
+
 def le64(value: int) -> bytes:
     """Encode a non-negative integer as 8 little-endian bytes."""
-    return struct.pack("<Q", value)
+    return _LE64(value)
 
 
 def sha256_expand_bytes(prefix: bytes, num_bytes: int) -> bytes:
     """First `num_bytes` of SHA-256(prefix || LE64(0)) || SHA-256(prefix || LE64(1)) || ..."""
-    out = bytearray()
-    counter = 0
-    while len(out) < num_bytes:
-        out += hashlib.sha256(prefix + le64(counter)).digest()
-        counter += 1
-    return bytes(out[:num_bytes])
+    # Hash the shared prefix once; each block resumes from a copy of that state.
+    h0 = hashlib.sha256(prefix)
+    blocks = []
+    for counter in range(-(-num_bytes // 32)):
+        h = h0.copy()
+        h.update(_LE64(counter))
+        blocks.append(h.digest())
+    return b"".join(blocks)[:num_bytes]
 
 
 def sha256_expand_bits(prefix: bytes, num_bits: int) -> np.ndarray:

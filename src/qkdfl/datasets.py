@@ -23,11 +23,14 @@ A JSON sidecar at <path>.json records the generation parameters.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .errors import DatasetFormatError
 
 MAGIC = b"QFDS"
 CONTAINER_VERSION = 1
@@ -199,45 +202,72 @@ def save_dataset(path, samples: list, gen_params: dict | None = None) -> None:
 
 
 def load_dataset(path) -> tuple[list, dict]:
-    """Read a container back; returns (samples, sidecar dict)."""
+    """Read a container back; returns (samples, sidecar dict).
+
+    Raises DatasetFormatError, naming the path, when the header is short or
+    invalid, the payload is not exactly `count` samples long, or the sidecar
+    disagrees with the header's sample count.
+    """
     path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        magic, version, task_code, _, count, d0, d1, d2, _ = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a dataset container (bad magic)")
-        if version != CONTAINER_VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
-        samples = []
-        if task_code == _TASK_CODES["channel"]:
-            plane = d0 * d1
-            for _ in range(count):
-                pilots = np.frombuffer(fh.read(4 * plane), dtype="<f4")
-                truth = np.frombuffer(fh.read(4 * plane), dtype="<f4")
-                snr = np.frombuffer(fh.read(4), dtype="<f4")[0]
-                samples.append(
-                    ChannelSample(
-                        pilots=pilots.astype(np.float64).reshape(d0, d1, 1),
-                        truth=truth.astype(np.float64).reshape(d0, d1, 1),
-                        snr_db=float(snr),
-                    )
-                )
-        else:
-            for _ in range(count):
-                spect = np.frombuffer(fh.read(4 * d0 * d1 * d2), dtype="<f4")
-                labels = np.frombuffer(fh.read(d0 * d1), dtype=np.uint8)
-                samples.append(
-                    RadarSample(
-                        spectrogram=spect.astype(np.float64).reshape(d0, d1, d2),
-                        labels=labels.astype(np.int64).reshape(d0, d1),
-                    )
-                )
+    data = path.read_bytes()
+    if len(data) < _HEADER.size:
+        raise DatasetFormatError(
+            f"{path}: truncated header ({len(data)} of {_HEADER.size} bytes)"
+        )
+    magic, version, task_code, _, count, d0, d1, d2, _ = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise DatasetFormatError(f"{path}: not a dataset container (bad magic)")
+    if version != CONTAINER_VERSION:
+        raise DatasetFormatError(f"{path}: unsupported container version {version}")
+    if task_code == _TASK_CODES["channel"]:
+        fields = [("pilots", "<f4", (d0, d1, 1)), ("truth", "<f4", (d0, d1, 1)),
+                  ("snr", "<f4", ())]
+    elif task_code == _TASK_CODES["radar"]:
+        fields = [("spect", "<f4", (d0, d1, d2)), ("labels", "u1", (d0, d1))]
+    else:
+        raise DatasetFormatError(f"{path}: unknown task code {task_code}")
+    if count == 0:
+        raise DatasetFormatError(f"{path}: container holds no samples")
+    # Sized in Python ints: dims from a damaged header can overflow a numpy dtype.
+    sample_bytes = sum(np.dtype(dt).itemsize * math.prod(shape) for _, dt, shape in fields)
+    expected = count * sample_bytes
+    payload = len(data) - _HEADER.size
+    if payload != expected:
+        kind = "truncated payload" if payload < expected else "trailing bytes"
+        raise DatasetFormatError(
+            f"{path}: {kind}: header promises {count} samples "
+            f"({expected} bytes), file holds {payload}"
+        )
+    records = np.frombuffer(data, dtype=np.dtype(fields), count=count, offset=_HEADER.size)
+    if task_code == _TASK_CODES["channel"]:
+        samples = [
+            ChannelSample(
+                pilots=rec["pilots"].astype(np.float64),
+                truth=rec["truth"].astype(np.float64),
+                snr_db=float(rec["snr"]),
+            )
+            for rec in records
+        ]
+    else:
+        samples = [
+            RadarSample(
+                spectrogram=rec["spect"].astype(np.float64),
+                labels=rec["labels"].astype(np.int64),
+            )
+            for rec in records
+        ]
 
     sidecar_path = Path(str(path) + ".json")
     sidecar = {}
     if sidecar_path.exists():
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
+        try:
+            sidecar = json.loads(sidecar_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"{sidecar_path}: sidecar is not JSON ({exc})") from exc
+        if not isinstance(sidecar, dict) or sidecar.get("count", count) != count:
+            raise DatasetFormatError(
+                f"{sidecar_path}: sidecar does not match the header count {count}"
+            )
     return samples, sidecar
 
 

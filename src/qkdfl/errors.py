@@ -31,3 +31,7 @@ class DivergenceError(QkdflError):
 
 class ConfigError(QkdflError):
     """An experiment configuration is missing or malformed."""
+
+
+class DatasetFormatError(QkdflError, ValueError):
+    """A dataset container is truncated, has trailing bytes or a bad header."""

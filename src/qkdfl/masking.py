@@ -11,10 +11,12 @@ Key schedule (test-vector contracts, see tests/golden):
                  seed_bytes || LE64(round) || LE64(min(i,j)) || LE64(max(i,j))
     mask block = SHA-256(pair_key_bytes || LE64(tensor_ordinal) || LE64(block))
 
-Mask bits are consumed MSB-first and mapped 1 -> +gamma, 0 -> -gamma.
-Folding the tensor ordinal into the keystream gives every named tensor an
-independent stream while keeping both ends of a pair bit-identical (both
-clients walk tensors in the same canonical order).
+Mask bits are consumed MSB-first and mapped 1 -> +gamma, 0 -> -gamma,
+computed exactly as (2 * bit - 1) * gamma in float64.  Folding the tensor
+ordinal into the keystream gives every named tensor an independent stream
+while keeping both ends of a pair bit-identical (both clients walk tensors
+in the same canonical order).  A client derives each pair key once per peer
+and reuses it for every tensor of its upload.
 """
 
 from __future__ import annotations
@@ -90,8 +92,25 @@ def derive_pair_key(ctx: MaskingContext, i: int, j: int) -> np.ndarray:
 
 
 def signs_from_bits(stream_bits: np.ndarray, gamma: float) -> np.ndarray:
-    """Map keystream bits to mask values: bit 1 -> +gamma, bit 0 -> -gamma."""
-    return np.where(np.asarray(stream_bits) == 1, gamma, -gamma).astype(np.float64)
+    """Map keystream bits to mask values: bit 1 -> +gamma, bit 0 -> -gamma.
+
+    (2 * bit - 1) * gamma is exact in float64, so this equals
+    np.where(bit == 1, gamma, -gamma) bit for bit, -0.0 at gamma = 0 included.
+    """
+    bits = np.asarray(stream_bits)
+    if bits.dtype.kind in "biu":
+        # Only signed integers can go below 0.
+        valid = bits.size == 0 or (
+            bits.max() <= 1 and (bits.dtype.kind != "i" or bits.min() >= 0)
+        )
+    else:
+        valid = bool(((bits == 0) | (bits == 1)).all())
+    if not valid:
+        raise ValueError("keystream bits must be 0 or 1")
+    m = np.multiply(bits, 2.0, dtype=np.float64)
+    m -= 1.0
+    m *= gamma
+    return m
 
 
 def mask_keystream(key_bits: np.ndarray, tensor_ordinal: int, num_bits: int) -> np.ndarray:
@@ -121,22 +140,21 @@ def pair_mask_sum(pv: ParamVec, client_index: int, ctx: MaskingContext) -> Param
     """Signed sum of all pair masks for one client, shaped like `pv`.
 
     Client i adds m_ij for j > i and subtracts it for j < i; the tensor
-    ordinal is the entry's position in canonical order.
+    ordinal is the entry's position in canonical order.  Each pair key is
+    derived once per peer; every element still takes its terms in ascending j.
     """
-    out = []
-    for ordinal, (name, arr) in enumerate(pv.entries):
-        total = np.zeros_like(arr)
-        for j in range(ctx.num_clients):
-            if j == client_index:
-                continue
-            key = derive_pair_key(ctx, client_index, j)
+    totals = [np.zeros_like(arr) for _, arr in pv.entries]
+    for j in range(ctx.num_clients):
+        if j == client_index:
+            continue
+        key = derive_pair_key(ctx, client_index, j)
+        for ordinal, ((_, arr), total) in enumerate(zip(pv.entries, totals)):
             mask = bits_to_mask(key, arr.shape, ordinal, ctx.mask_scale)
             if client_index < j:
                 total += mask
             else:
                 total -= mask
-        out.append((name, total))
-    return ParamVec(out)
+    return ParamVec([(name, total) for (name, _), total in zip(pv.entries, totals)])
 
 
 def apply_pairwise_masks(

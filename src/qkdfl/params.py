@@ -84,10 +84,19 @@ def mean(pvs: list[ParamVec]) -> ParamVec:
     first = pvs[0]
     for other in pvs[1:]:
         _require_same_structure(first, other)
+    # Byte-identical to np.stack(...).mean(axis=0) without the K-by-tensor
+    # temporary: numpy sums the stacked rows in order, one after another,
+    # except for a one-element tensor, whose K values it sums pairwise.
     out = []
-    for idx, (name, _) in enumerate(first.entries):
-        stack = np.stack([pv.entries[idx][1] for pv in pvs])
-        out.append((name, stack.mean(axis=0)))
+    for idx, (name, arr) in enumerate(first.entries):
+        if arr.size == 1:
+            out.append((name, np.mean([pv.entries[idx][1] for pv in pvs], axis=0)))
+            continue
+        total = arr.copy()
+        for pv in pvs[1:]:
+            total += pv.entries[idx][1]
+        total /= len(pvs)
+        out.append((name, total))
     return ParamVec(out)
 
 

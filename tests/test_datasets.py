@@ -1,5 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qkdfl.datasets import (
     CLASS_LTE,
@@ -12,6 +17,7 @@ from qkdfl.datasets import (
     save_dataset,
     stack_batch,
 )
+from qkdfl.errors import DatasetFormatError, QkdflError
 
 
 class TestChannelDataset:
@@ -132,6 +138,90 @@ class TestContainer:
         path = tmp_path / "junk.qfds"
         path.write_bytes(b"nope" + b"\x00" * 64)
         with pytest.raises(ValueError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [(0, b"nope", "bad magic"), (1, 2, "version 2"), (2, 7, "task code 7"),
+         (4, 0, "no samples")],
+    )
+    def test_bad_header_is_typed(self, tmp_path, field, value, message):
+        path = tmp_path / "junk.qfds"
+        save_dataset(path, gen_channel_dataset(1, snr_db=10.0, dims=(4, 3), seed=0))
+        header = struct.Struct("<4sHBBIIIII")
+        data = path.read_bytes()
+        fields = list(header.unpack_from(data))
+        fields[field] = value
+        path.write_bytes(header.pack(*fields) + data[header.size:])
+        with pytest.raises(DatasetFormatError, match=f"junk.qfds: .*{message}"):
+            load_dataset(path)
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        task=st.sampled_from(["channel", "radar"]),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        snr_db=st.floats(-10.0, 40.0),
+    )
+    def test_round_trip_property(self, tmp_path, task, n, seed, snr_db):
+        if task == "channel":
+            samples = gen_channel_dataset(n, snr_db=snr_db, dims=(6, 5), seed=seed)
+        else:
+            samples = gen_radar_dataset(n, size=16, seed=seed)
+        path = tmp_path / "prop.qfds"
+        save_dataset(path, samples, gen_params={"seed": seed})
+        loaded, sidecar = load_dataset(path)
+        assert sidecar["count"] == n and sidecar["gen_params"] == {"seed": seed}
+        assert len(loaded) == n
+        def f32(a):
+            return a.astype(np.float32).astype(np.float64)
+
+        for orig, back in zip(samples, loaded):
+            if task == "channel":
+                assert (back.pilots == f32(orig.pilots)).all()
+                assert (back.truth == f32(orig.truth)).all()
+                assert back.snr_db == float(np.float32(orig.snr_db))
+            else:
+                assert (back.spectrogram == f32(orig.spectrogram)).all()
+                assert (back.labels == orig.labels).all()
+                assert back.labels.dtype == np.int64
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(task=st.sampled_from(["channel", "radar"]), cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncation_is_typed(self, tmp_path, task, cut):
+        if task == "channel":
+            samples = gen_channel_dataset(2, snr_db=10.0, dims=(4, 3), seed=1)
+        else:
+            samples = gen_radar_dataset(2, size=16, seed=1)
+        path = tmp_path / "cut.qfds"
+        save_dataset(path, samples)
+        data = path.read_bytes()
+        path.write_bytes(data[: int(cut * len(data))])
+        with pytest.raises(DatasetFormatError, match="cut.qfds") as info:
+            load_dataset(path)
+        assert isinstance(info.value, QkdflError)
+
+    def test_trailing_bytes_are_typed(self, tmp_path):
+        path = tmp_path / "long.qfds"
+        save_dataset(path, gen_channel_dataset(2, snr_db=10.0, dims=(4, 3), seed=2))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DatasetFormatError, match="trailing bytes"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("text", [json.dumps({"count": 3}), "[]", "{"])
+    def test_bad_sidecar_is_typed(self, tmp_path, text):
+        path = tmp_path / "side.qfds"
+        save_dataset(path, gen_radar_dataset(2, size=16, seed=3))
+        (tmp_path / "side.qfds.json").write_text(text)
+        with pytest.raises(DatasetFormatError, match="side.qfds.json"):
             load_dataset(path)
 
     def test_stack_batch_shapes(self):

@@ -1,11 +1,16 @@
+import hashlib
 import itertools
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkdfl.params as pvops
+from qkdfl.bits import sha256_expand_bytes
 from qkdfl.errors import (
     AggregationShapeError,
     InvalidPairError,
@@ -111,6 +116,34 @@ class TestBitsToMask:
         b = bits_to_mask(key, (64,), 1, 1e-3)
         assert (a != b).any()
 
+    def test_rejects_non_bits(self):
+        for bad in ([0, 2], [-1, 1], [0.5], [np.nan]):
+            with pytest.raises(ValueError):
+                signs_from_bits(np.array(bad), 1e-3)
+
+    def test_matches_where_bit_for_bit(self):
+        bits = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+        for gamma in (0.0, 5e-324, 3.7e-5, 1e-3, 0.1, 1.0, 1e308):
+            ref = np.where(bits == 1, gamma, -gamma).astype(np.float64)
+            got = signs_from_bits(bits, gamma)
+            assert got.dtype == np.float64
+            assert got.tobytes() == ref.tobytes()
+
+    def test_zero_gamma_keeps_signed_zero(self):
+        m = signs_from_bits(np.array([0, 1], dtype=np.uint8), 0.0)
+        assert (m == 0.0).all()
+        assert list(np.signbit(m)) == [True, False]
+
+
+class TestSha256Expand:
+    @settings(max_examples=50, deadline=None)
+    @given(prefix=st.binary(max_size=80), num_bytes=st.integers(0, 200))
+    def test_matches_counter_mode_definition(self, prefix, num_bytes):
+        blocks = b"".join(
+            hashlib.sha256(prefix + struct.pack("<Q", t)).digest() for t in range(8)
+        )
+        assert sha256_expand_bytes(prefix, num_bytes) == blocks[:num_bytes]
+
 
 class TestGoldenVectors:
     def test_pair_key_vectors(self):
@@ -185,6 +218,80 @@ class TestApplyPairwiseMasks:
             apply_pairwise_masks(pv, 0, make_ctx())
 
 
+def reference_pair_mask_sum(pv, client_index, ctx):
+    """The original loop: a pair key per tensor and np.where signs."""
+    out = []
+    for ordinal, (name, arr) in enumerate(pv.entries):
+        total = np.zeros_like(arr)
+        for j in range(ctx.num_clients):
+            if j == client_index:
+                continue
+            key = derive_pair_key(ctx, client_index, j)
+            stream = mask_keystream(key, ordinal, max(arr.size, 1))
+            g = ctx.mask_scale
+            mask = np.where(stream == 1, g, -g).astype(np.float64).reshape(arr.shape)
+            if client_index < j:
+                total += mask
+            else:
+                total -= mask
+        out.append((name, total))
+    return ParamVec(out)
+
+
+def mixed_pv(rng):
+    return ParamVec(
+        [
+            ("scalar", rng.standard_normal(())),
+            ("one", rng.standard_normal(1)),
+            ("w", rng.standard_normal((3, 3, 2, 4))),
+            ("b", rng.standard_normal(4)),
+            ("odd", rng.standard_normal((5, 13))),
+        ]
+    )
+
+
+class TestPairMaskSum:
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.37])
+    def test_matches_per_tensor_key_loop_bytewise(self, k, gamma):
+        rng = np.random.default_rng(k)
+        ctx = make_ctx(num_clients=k, seed=k, mask_scale=gamma)
+        pv = mixed_pv(rng)
+        for i in range(k):
+            got = pair_mask_sum(pv, i, ctx)
+            ref = reference_pair_mask_sum(pv, i, ctx)
+            assert got.names() == ref.names()
+            for (_, a), (_, b) in zip(got.entries, ref.entries):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), round_index=st.integers(0, 1000))
+    def test_pair_key_symmetry(self, data, seed, round_index):
+        k = data.draw(st.integers(2, 10))
+        i = data.draw(st.integers(0, k - 1))
+        j = data.draw(st.integers(0, k - 1).filter(lambda j: j != i))
+        ctx = make_ctx(num_clients=k, round_index=round_index, seed=seed)
+        assert (derive_pair_key(ctx, i, j) == derive_pair_key(ctx, j, i)).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        k=st.integers(2, 8),
+        shapes=st.lists(
+            st.lists(st.integers(1, 5), max_size=3).map(tuple), min_size=1, max_size=4
+        ),
+        gamma=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_masks_cancel_over_all_clients(self, k, shapes, gamma, seed):
+        ctx = make_ctx(num_clients=k, seed=seed, mask_scale=gamma)
+        pv = ParamVec([(f"t{n}", np.zeros(shape)) for n, shape in enumerate(shapes)])
+        total = pvops.zeros_like(pv)
+        for i in range(k):
+            total = pvops.add(total, pair_mask_sum(pv, i, ctx))
+        assert pvops.max_abs_diff(total, pvops.zeros_like(pv)) <= 1e-12
+
+
 class TestAggregate:
     def masked_batch(self, pvs, ctx):
         return [apply_pairwise_masks(pv, k, ctx) for k, pv in enumerate(pvs)]
@@ -236,6 +343,27 @@ class TestAggregate:
         a = apply_pairwise_masks(pv, 0, make_ctx())
         with pytest.raises(ProtocolError):
             aggregate([a, MaskedUpdate(0, 0, pv.copy())])
+
+
+class TestParamsMean:
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 20])
+    def test_matches_stacked_mean_bytewise(self, k):
+        # One-element tensors included: numpy sums their K values pairwise.
+        rng = np.random.default_rng(k)
+        pvs = [mixed_pv(rng) for _ in range(k)]
+        got = pvops.mean(pvs)
+        for idx, (name, arr) in enumerate(got.entries):
+            ref = np.asarray(np.stack([pv.entries[idx][1] for pv in pvs]).mean(axis=0))
+            assert arr.shape == ref.shape, name
+            assert arr.tobytes() == ref.tobytes(), name
+
+    def test_inputs_untouched(self):
+        rng = np.random.default_rng(0)
+        pvs = [random_pv(rng) for _ in range(3)]
+        before = [pv.copy() for pv in pvs]
+        pvops.mean(pvs)
+        for a, b in zip(pvs, before):
+            assert pvops.max_abs_diff(a, b) == 0.0
 
 
 class TestLeakageProxies:
