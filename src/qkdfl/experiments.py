@@ -124,6 +124,16 @@ class ExperimentConfig:
                      "train_samples": 48, "val_samples": 16},
     }
 
+    # Scalar fields by type; bool is not accepted for either.
+    _INT_FIELDS = (
+        "rounds", "epochs", "batch_size", "key_bits", "raw_key_len",
+        "train_samples", "val_samples", "radar_size", "sessions_per_point",
+    )
+    _FLOAT_FIELDS = (
+        "learning_rate", "qber_threshold", "mask_scale", "pa_ratio",
+        "depolarize_prob", "snr_db", "partition_skew",
+    )
+
     @classmethod
     def from_dict(cls, raw: dict, source: str = "config") -> "ExperimentConfig":
         if not isinstance(raw, dict):
@@ -137,10 +147,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{source}.{required}: required field missing")
 
         merged = dict(raw)
-        task = merged.get("task")
-        if task in cls._TASK_DEFAULTS:
-            for key, val in cls._TASK_DEFAULTS[task].items():
-                merged.setdefault(key, val)
+        for key, val in cls._TASK_DEFAULTS.get(str(merged.get("task")), {}).items():
+            merged.setdefault(key, val)
 
         tuple_fields = {
             "clients", "modes", "noise_grid", "channel_dims",
@@ -174,6 +182,9 @@ class ExperimentConfig:
         def is_int(v) -> bool:
             return isinstance(v, int) and not isinstance(v, bool)
 
+        def is_number(v) -> bool:
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+
         def check_positive_ints(field: str, values: tuple, count: int) -> None:
             check(len(values) == count, field, f"must have {count} entries")
             for i, v in enumerate(values):
@@ -182,6 +193,13 @@ class ExperimentConfig:
         check(self.experiment in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
         check(self.task in TASKS, "task", f"must be one of {TASKS}")
         check(is_int(self.seed), "seed", "must be an integer")
+        for field in self._INT_FIELDS:
+            check(is_int(getattr(self, field)), field, "must be an integer")
+        for field in self._FLOAT_FIELDS:
+            check(is_number(getattr(self, field)), field, "must be a number")
+        check(isinstance(self.eve, bool), "eve", "must be true or false")
+        check(self.out_dir is None or isinstance(self.out_dir, str), "out_dir",
+              "must be a string")
         check(len(self.clients) > 0, "clients", "must be nonempty")
         for i, k in enumerate(self.clients):
             check(is_int(k) and k >= 2, f"clients[{i}]", "must be an integer >= 2")
@@ -203,7 +221,8 @@ class ExperimentConfig:
         check(self.val_samples >= 1, "val_samples", "must be >= 1")
         check(len(self.noise_grid) > 0, "noise_grid", "must be nonempty")
         for i, eta in enumerate(self.noise_grid):
-            check(0.0 <= eta <= 1.0, f"noise_grid[{i}]", "must be in [0, 1]")
+            check(is_number(eta) and 0.0 <= eta <= 1.0, f"noise_grid[{i}]",
+                  "must be a number in [0, 1]")
         check(self.sessions_per_point >= 1, "sessions_per_point", "must be >= 1")
         check(self.partition_skew > 0 or np.isinf(self.partition_skew),
               "partition_skew", "must be positive")

@@ -16,7 +16,8 @@ computed exactly as (2 * bit - 1) * gamma in float64.  Folding the tensor
 ordinal into the keystream gives every named tensor an independent stream
 while keeping both ends of a pair bit-identical (both clients walk tensors
 in the same canonical order).  A client derives each pair key once per peer
-and reuses it for every tensor of its upload.
+and reuses it for every tensor of its upload; each tensor's mask lands in
+its slice of one flat buffer, so aggregation and leakage are flat operations.
 """
 
 from __future__ import annotations
@@ -137,24 +138,25 @@ def bits_to_mask(
 
 
 def pair_mask_sum(pv: ParamVec, client_index: int, ctx: MaskingContext) -> ParamVec:
-    """Signed sum of all pair masks for one client, shaped like `pv`.
+    """Signed sum of all pair masks for one client, laid out like `pv`.
 
     Client i adds m_ij for j > i and subtracts it for j < i; the tensor
     ordinal is the entry's position in canonical order.  Each pair key is
     derived once per peer; every element still takes its terms in ascending j.
     """
-    totals = [np.zeros_like(arr) for _, arr in pv.entries]
+    total = pvops.zeros_like(pv)
+    views = [view for _, view in total.entries]
     for j in range(ctx.num_clients):
         if j == client_index:
             continue
         key = derive_pair_key(ctx, client_index, j)
-        for ordinal, ((_, arr), total) in enumerate(zip(pv.entries, totals)):
-            mask = bits_to_mask(key, arr.shape, ordinal, ctx.mask_scale)
+        for ordinal, view in enumerate(views):
+            mask = bits_to_mask(key, view.shape, ordinal, ctx.mask_scale)
             if client_index < j:
-                total += mask
+                view += mask
             else:
-                total -= mask
-    return ParamVec([(name, total) for (name, _), total in zip(pv.entries, totals)])
+                view -= mask
+    return total
 
 
 def apply_pairwise_masks(

@@ -19,10 +19,9 @@ from .nn import (
     MaxPool2,
     UpsampleNearest2,
     mse_loss,
-    softmax,
     softmax_cross_entropy,
 )
-from .params import ParamVec
+from .params import ParamVec, zeros_like
 
 TASK_CHANNEL = "channel"
 TASK_RADAR = "radar"
@@ -53,22 +52,19 @@ class ModelSpec:
 
 
 class _ConvNet:
-    """Parameter plumbing shared by the task models, over `self.convs` in order."""
+    """Parameter plumbing shared by the task models: one parameter and one
+    gradient buffer over `self.convs` in order, whose views are each conv's
+    w, b (conv1.w, conv1.b, conv2.w, ...) and dw, db."""
 
-    convs: list[Conv2D]
-
-    def init_params(self, rng: np.random.Generator) -> None:
-        for conv in self.convs:
-            conv.init_params(rng)
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [a for conv in self.convs for a in (conv.w, conv.b)]
-
-    def _grad_arrays(self) -> list[np.ndarray]:
-        return [g for conv in self.convs for g in (conv.dw, conv.db)]
-
-    def param_names(self) -> list[str]:
-        return [f"{conv.name}.{p}" for conv in self.convs for p in ("w", "b")]
+    def __init__(self, convs: list[Conv2D]):
+        self.convs = convs
+        self.params = ParamVec(
+            [(f"{c.name}.{p}", a) for c in convs for p, a in (("w", c.w), ("b", c.b))]
+        )
+        self.grads = zeros_like(self.params)
+        for k, conv in enumerate(convs):
+            (_, conv.w), (_, conv.b) = self.params.entries[2 * k : 2 * k + 2]
+            (_, conv.dw), (_, conv.db) = self.grads.entries[2 * k : 2 * k + 2]
 
 
 class ChannelNet(_ConvNet):
@@ -79,10 +75,10 @@ class ChannelNet(_ConvNet):
     def __init__(self, spec: ModelSpec):
         w1, w2 = spec.channel_widths
         widths = (1, w1, w2, 1)
-        self.convs = [
+        super().__init__([
             Conv2D(f"conv{i + 1}", k, k, widths[i], widths[i + 1], input_grad=i > 0)
             for i, k in enumerate(self.KERNELS)
-        ]
+        ])
         self.acts = [Activation("selu"), Activation("softplus"), Activation("selu")]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -91,12 +87,12 @@ class ChannelNet(_ConvNet):
             h = act.forward(conv.forward(h))
         return h
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    def loss_and_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, ParamVec]:
         pred = self.forward(x)
         loss, d = mse_loss(pred, y)
         for conv, act in zip(reversed(self.convs), reversed(self.acts)):
             d = conv.backward(act.backward(d))
-        return loss, self._grad_arrays()
+        return loss, self.grads
 
 
 class SegNet(_ConvNet):
@@ -113,10 +109,10 @@ class SegNet(_ConvNet):
         self.dec2 = Conv2D("dec2", 3, 3, f3 + f2, f2)
         self.dec1 = Conv2D("dec1", 3, 3, f2 + f1, f1)
         self.head = Conv2D("head", 1, 1, f1, spec.num_classes)
-        self.convs = [
+        super().__init__([
             self.enc1, self.enc2, self.enc3, self.bott,
             self.dec3, self.dec2, self.dec1, self.head,
-        ]
+        ])
         self.relus = {c.name: Activation("relu") for c in self.convs[:-1]}
         self.pools = [MaxPool2() for _ in range(3)]
         self.ups = [UpsampleNearest2() for _ in range(3)]
@@ -141,10 +137,7 @@ class SegNet(_ConvNet):
         )
         return self.head.forward(d1)
 
-    def predict_probs(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(x))
-
-    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, ParamVec]:
         logits = self.forward(x)
         loss, dlogits = softmax_cross_entropy(logits, labels)
 
@@ -162,7 +155,7 @@ class SegNet(_ConvNet):
         dp1 = self.enc2.backward(self.relus["enc2"].backward(de2))
         de1 = self.pools[0].backward(dp1) + dskip1
         self.enc1.backward(self.relus["enc1"].backward(de1))
-        return loss, self._grad_arrays()
+        return loss, self.grads
 
 
 def build_model(spec: ModelSpec):
@@ -174,25 +167,21 @@ def build_model(spec: ModelSpec):
 def init_params(spec: ModelSpec) -> ParamVec:
     """Fresh seeded parameters for the given architecture, as a ParamVec."""
     net = build_model(spec)
-    net.init_params(np.random.default_rng(spec.init_seed))
+    rng = np.random.default_rng(spec.init_seed)
+    for conv in net.convs:
+        conv.init_params(rng)
     return get_params(net)
 
 
 def get_params(net) -> ParamVec:
-    return ParamVec(
-        [(name, arr.copy()) for name, arr in zip(net.param_names(), net.param_arrays())]
-    )
+    return net.params.copy()
 
 
 def set_params(net, pv: ParamVec) -> None:
-    names = net.param_names()
-    if pv.names() != names:
+    if not pv.same_structure(net.params):
         raise ValueError("parameter vector does not match the model structure")
-    for (_, src), dst in zip(pv.entries, net.param_arrays()):
-        if src.shape != dst.shape:
-            raise ValueError("parameter vector does not match the model structure")
-        dst[...] = src
+    net.params.buf[...] = pv.buf
 
 
 def new_optimizer(net, lr: float) -> Adam:
-    return Adam(net.param_arrays(), lr)
+    return Adam(net.params.buf, lr)

@@ -44,8 +44,9 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 class Conv2D:
     """Same-padded stride-1 convolution via im2col.
 
-    With `input_grad=False` (a model's input layer, whose gradient with
-    respect to the data nobody uses) backward() fills dw/db and returns None.
+    init_params() and backward() write w/b and dw/db in place, so they may
+    be views into a model's buffers.  With `input_grad=False` (a model's
+    input layer, whose data gradient nobody uses) backward() returns None.
     """
 
     def __init__(self, name: str, kh: int, kw: int, cin: int, cout: int,
@@ -63,8 +64,8 @@ class Conv2D:
         self._xshape = None
 
     def init_params(self, rng: np.random.Generator) -> None:
-        self.w = truncated_normal_init(rng, self.w.shape, self.kh * self.kw * self.cin)
-        self.b = np.zeros(self.cout)
+        self.w[...] = truncated_normal_init(rng, self.w.shape, self.kh * self.kw * self.cin)
+        self.b[...] = 0.0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, h, w, cin = x.shape
@@ -78,8 +79,8 @@ class Conv2D:
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
         n, h, w, cin = self._xshape
         dy2 = dy.reshape(n * h * w, self.cout)
-        self.dw = (self._cols.T @ dy2).reshape(self.w.shape)
-        self.db = dy2.sum(axis=0)
+        self.dw[...] = (self._cols.T @ dy2).reshape(self.w.shape)
+        self.db[...] = dy2.sum(axis=0)
         if not self.input_grad:
             return None
         # For a stride-1 same-padded odd kernel, dx is the same convolution of
@@ -201,11 +202,11 @@ def softmax_cross_entropy(
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction; updates in place."""
+    """Adaptive-moment optimizer with bias correction; steps one flat buffer in place."""
 
     def __init__(
         self,
-        arrays: list[np.ndarray],
+        params: np.ndarray,
         lr: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -216,16 +217,15 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            a -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * (grads * grads)
+        params -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)

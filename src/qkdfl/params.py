@@ -1,113 +1,121 @@
 """Named parameter vectors: the unit that gets trained, masked and averaged.
 
-A ParamVec is an ordered list of (name, float64 array) pairs.  The order
-is canonical (declaration order of the model that produced it) and every
-structural operation in the package relies on it: flattening, masking,
-aggregation and the leakage proxies all walk the entries in order.
+A ParamVec is one contiguous 1-D float64 buffer plus an immutable layout of
+(name, shape) pairs in canonical order (declaration order of the model that
+produced it).  Each tensor takes the next prod(shape) elements, row-major,
+so `flat()` is the buffer, `entries` are named views into it, and every
+operation below is one buffer operation after a layout comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import itertools
+import math
 
 import numpy as np
 
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
-@dataclass
+
+@functools.lru_cache(maxsize=64)
+def _offsets(layout: Layout) -> tuple[int, ...]:
+    """Start of each tensor in the buffer, followed by the buffer length."""
+    return tuple(itertools.accumulate((math.prod(s) for _, s in layout), initial=0))
+
+
 class ParamVec:
-    entries: list[tuple[str, np.ndarray]]
+    """One float64 buffer with named, shaped views at fixed offsets."""
 
-    def __post_init__(self):
-        names = [name for name, _ in self.entries]
-        if len(set(names)) != len(names):
+    def __init__(self, entries):
+        """Copy (name, array) pairs, in order, into one new buffer."""
+        arrays = [np.asarray(arr, dtype=np.float64) for _, arr in entries]
+        self.layout = tuple((name, a.shape) for (name, _), a in zip(entries, arrays))
+        if len({name for name, _ in self.layout}) != len(self.layout):
             raise ValueError("parameter names must be unique")
-        self.entries = [
-            (name, np.asarray(arr, dtype=np.float64)) for name, arr in self.entries
-        ]
+        self.buf = np.concatenate([np.zeros(0)] + [a.ravel() for a in arrays])
+
+    @classmethod
+    def from_buffer(cls, layout: Layout, buf: np.ndarray) -> "ParamVec":
+        """Wrap `buf` (not copied) under `layout`."""
+        if buf.dtype != np.float64 or buf.shape != (_offsets(layout)[-1],):
+            raise ValueError("buffer does not match the layout")
+        pv = cls.__new__(cls)
+        pv.layout, pv.buf = layout, buf
+        return pv
+
+    @property
+    def entries(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """(name, view) pairs in canonical order; writes go to the buffer."""
+        offs = _offsets(self.layout)
+        return tuple(
+            (name, self.buf[start:stop].reshape(shape))
+            for (name, shape), start, stop in zip(self.layout, offs, offs[1:])
+        )
 
     @property
     def total_len(self) -> int:
-        return sum(arr.size for _, arr in self.entries)
+        return self.buf.size
 
     @property
     def nbytes_serialized(self) -> int:
         """Size of one full transfer: float64 payload, no framing."""
-        return 8 * self.total_len
+        return self.buf.nbytes
 
     def names(self) -> list[str]:
-        return [name for name, _ in self.entries]
+        return [name for name, _ in self.layout]
 
     def copy(self) -> "ParamVec":
-        return ParamVec([(name, arr.copy()) for name, arr in self.entries])
+        return ParamVec.from_buffer(self.layout, self.buf.copy())
 
     def flat(self) -> np.ndarray:
-        """Concatenate all tensors in canonical order, row-major within each."""
-        if not self.entries:
-            return np.zeros(0)
-        return np.concatenate([arr.ravel() for _, arr in self.entries])
+        """All tensors in canonical order, row-major within each: the buffer itself."""
+        return self.buf
 
     def same_structure(self, other: "ParamVec") -> bool:
-        return len(self.entries) == len(other.entries) and all(
-            a_name == b_name and a.shape == b.shape
-            for (a_name, a), (b_name, b) in zip(self.entries, other.entries)
-        )
+        return self.layout == other.layout
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(arr).all() for _, arr in self.entries)
+        return bool(np.isfinite(self.buf).all())
 
 
 def zeros_like(pv: ParamVec) -> ParamVec:
-    return ParamVec([(name, np.zeros_like(arr)) for name, arr in pv.entries])
+    return ParamVec.from_buffer(pv.layout, np.zeros_like(pv.buf))
 
 
 def add(a: ParamVec, b: ParamVec) -> ParamVec:
     _require_same_structure(a, b)
-    return ParamVec(
-        [(name, x + y) for (name, x), (_, y) in zip(a.entries, b.entries)]
-    )
+    return ParamVec.from_buffer(a.layout, a.buf + b.buf)
 
 
 def sub(a: ParamVec, b: ParamVec) -> ParamVec:
     _require_same_structure(a, b)
-    return ParamVec(
-        [(name, x - y) for (name, x), (_, y) in zip(a.entries, b.entries)]
-    )
-
-
-def scale(a: ParamVec, factor: float) -> ParamVec:
-    return ParamVec([(name, factor * arr) for name, arr in a.entries])
+    return ParamVec.from_buffer(a.layout, a.buf - b.buf)
 
 
 def mean(pvs: list[ParamVec]) -> ParamVec:
     if not pvs:
         raise ValueError("mean of empty list")
     first = pvs[0]
-    for other in pvs[1:]:
-        _require_same_structure(first, other)
-    # Byte-identical to np.stack(...).mean(axis=0) without the K-by-tensor
-    # temporary: numpy sums the stacked rows in order, one after another,
-    # except for a one-element tensor, whose K values it sums pairwise.
-    out = []
-    for idx, (name, arr) in enumerate(first.entries):
-        if arr.size == 1:
-            out.append((name, np.mean([pv.entries[idx][1] for pv in pvs], axis=0)))
-            continue
-        total = arr.copy()
-        for pv in pvs[1:]:
-            total += pv.entries[idx][1]
-        total /= len(pvs)
-        out.append((name, total))
-    return ParamVec(out)
+    # Byte-identical to stacking each tensor's K copies and taking
+    # .mean(axis=0): numpy sums the stacked rows in order, one after another,
+    # except for a one-element tensor, whose K values it sums pairwise, as
+    # np.mean does along each row of the (positions, K) gather below.
+    total = first.buf.copy()
+    for pv in pvs[1:]:
+        _require_same_structure(first, pv)
+        total += pv.buf
+    total /= len(pvs)
+    offs = _offsets(first.layout)
+    ones = [start for start, stop in zip(offs, offs[1:]) if stop - start == 1]
+    total[ones] = np.mean(np.stack([pv.buf[ones] for pv in pvs], axis=1), axis=1)
+    return ParamVec.from_buffer(first.layout, total)
 
 
 def max_abs_diff(a: ParamVec, b: ParamVec) -> float:
     _require_same_structure(a, b)
-    if a.total_len == 0:
-        return 0.0
-    return max(
-        float(np.max(np.abs(x - y)))
-        for (_, x), (_, y) in zip(a.entries, b.entries)
-    )
+    diff = a.buf - b.buf
+    return float(np.max(np.abs(diff, out=diff), initial=0.0))
 
 
 def _require_same_structure(a: ParamVec, b: ParamVec) -> None:

@@ -48,7 +48,7 @@ def train_local(
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch starting at {start}"
                 )
-            opt.step(net.param_arrays(), grads)
+            opt.step(net.params.buf, grads.buf)
     return get_params(net)
 
 

@@ -210,8 +210,8 @@ def test_criterion_07_metric_oracles():
 
 def _fd_worst(net, x, y, n_coords, step=1e-5, coord_seed=0):
     _, grads = net.loss_and_grads(x, y)
-    grads = [g.copy() for g in grads]
-    arrays = net.param_arrays()
+    grads = [g.copy() for _, g in grads.entries]
+    arrays = [a for _, a in net.params.entries]
     rng = np.random.default_rng(coord_seed)
     worst = 0.0
     for _ in range(n_coords):

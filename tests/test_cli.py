@@ -99,6 +99,14 @@ class TestValidateVerb:
             ({"channel_dims": [0, 14]}, "channel_dims[0]"),
             ({"channel_widths": [0, 3]}, "channel_widths[0]"),
             ({"seed": True}, "seed"),
+            ({"eve": "no"}, "eve"),
+            ({"rounds": 2.5}, "rounds"),
+            ({"rounds": "5"}, "rounds"),
+            ({"key_bits": 1.5}, "key_bits"),
+            ({"epochs": True}, "epochs"),
+            ({"mask_scale": None}, "mask_scale"),
+            ({"noise_grid": ["a"]}, "noise_grid[0]"),
+            ({"task": ["channel"]}, "task"),
         ],
     )
     def test_bad_model_fields_exit_code(self, tmp_path, capsys, verb, overrides, field):

@@ -59,6 +59,19 @@ class TestConfig:
             ({"bottleneck_filters": 0}, r"bottleneck_filters"),
             ({"bottleneck_filters": True}, r"bottleneck_filters"),
             ({"seed": True}, r"config\.seed"),
+            ({"eve": "no"}, r"config\.eve"),
+            ({"eve": 1}, r"config\.eve"),
+            ({"rounds": 2.5}, r"config\.rounds"),
+            ({"rounds": "5"}, r"config\.rounds"),
+            ({"key_bits": 1.5}, r"config\.key_bits"),
+            ({"epochs": True}, r"config\.epochs"),
+            ({"mask_scale": None}, r"config\.mask_scale"),
+            ({"learning_rate": True}, r"config\.learning_rate"),
+            ({"snr_db": "10"}, r"config\.snr_db"),
+            ({"noise_grid": ["a"]}, r"noise_grid\[0\]"),
+            ({"noise_grid": [0.0, False]}, r"noise_grid\[1\]"),
+            ({"out_dir": 5}, r"config\.out_dir"),
+            ({"task": ["channel"]}, r"config\.task"),
         ],
     )
     def test_bad_model_or_seed_field_named(self, overrides, field):

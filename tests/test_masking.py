@@ -375,7 +375,7 @@ class TestLeakageProxies:
     def test_negated_deltas(self):
         rng = np.random.default_rng(7)
         pv = random_pv(rng)
-        cos, pear = leakage_proxies(pv, pvops.scale(pv, -1.0))
+        cos, pear = leakage_proxies(pv, ParamVec.from_buffer(pv.layout, -pv.flat()))
         assert abs(cos + 1.0) < 1e-12
         assert abs(pear + 1.0) < 1e-12
 

@@ -18,8 +18,8 @@ FD_REL_TOL = 1e-4
 def finite_difference_worst(net, x, y, n_coords, coord_seed=0):
     """Central-difference oracle: worst relative error over sampled coordinates."""
     _, grads = net.loss_and_grads(x, y)
-    grads = [g.copy() for g in grads]
-    arrays = net.param_arrays()
+    grads = [g.copy() for _, g in grads.entries]
+    arrays = [a for _, a in net.params.entries]
     rng = np.random.default_rng(coord_seed)
     worst = 0.0
     for _ in range(n_coords):
@@ -149,7 +149,7 @@ class TestShapes:
         net = build_model(spec)
         set_params(net, init_params(spec))
         rng = np.random.default_rng(4)
-        probs = net.predict_probs(rng.standard_normal((2, 16, 16, 3)))
+        probs = softmax(net.forward(rng.standard_normal((2, 16, 16, 3))))
         sums = probs.sum(axis=-1)
         assert np.abs(sums - 1.0).max() < 1e-6
 
