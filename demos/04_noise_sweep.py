@@ -3,7 +3,7 @@
 Run: python demos/04_noise_sweep.py   (~10 s)
 """
 
-from qkdfl.experiments import ExperimentConfig, run_experiment_c
+from qkdfl.experiments import ExperimentConfig, run_cells
 
 cfg = ExperimentConfig.from_dict({
     "experiment": "C",
@@ -14,7 +14,7 @@ cfg = ExperimentConfig.from_dict({
     "qber_threshold": 0.08,
 })
 
-rows = run_experiment_c(cfg)
+rows = run_cells(cfg)["exp_c_sweep.csv"]
 
 print(f"{'eta':>6} {'mean QBER':>10} {'eta/2':>8} {'abort rate':>11}")
 for r in rows:

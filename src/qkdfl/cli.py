@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -45,7 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(path)
     if seed_override is not None:
-        cfg = dataclasses.replace(cfg, seed=seed_override)
+        # Through from_dict, so the override meets the same checks as the file.
+        cfg = ExperimentConfig.from_dict(
+            {**cfg.to_dict(), "seed": seed_override}, source=f"{path} with --seed"
+        )
     return cfg
 
 

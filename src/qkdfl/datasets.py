@@ -66,6 +66,8 @@ def gen_channel_dataset(
     """Generate n pilot/channel pairs at one SNR; deterministic per seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     h_dim, w_dim = dims
     rng = np.random.default_rng(seed)
     shape = (n, h_dim, w_dim)

@@ -7,6 +7,13 @@ Three experiment families:
        intercept-resend attacker in every round
     C  key-agreement noise sweep: pooled QBER and abort rate per noise level
 
+All three run on one path.  `_cells` lists a run's cells in output order:
+one (clients, mode) cell per pair for A, the fixed `_B_ARMS` for B, one
+noise point for C.  `_run_cell` runs one cell, in this process or in a
+pool worker, and returns its rows keyed by output file; `run_cells` maps
+the cells and concatenates each file's rows in cell order; and
+`run_experiment` writes every table and echoes it into the summary.
+
 A run directory contains a manifest (resolved config echo + hash + CSV
 schemas), JSON-lines round reports (A/B), a run summary JSON, and one or
 two CSV summary tables.  Every emitted row carries the config hash, all
@@ -22,6 +29,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,15 +132,8 @@ class ExperimentConfig:
                      "train_samples": 48, "val_samples": 16},
     }
 
-    # Scalar fields by type; bool is not accepted for either.
-    _INT_FIELDS = (
-        "rounds", "epochs", "batch_size", "key_bits", "raw_key_len",
-        "train_samples", "val_samples", "radar_size", "sessions_per_point",
-    )
-    _FLOAT_FIELDS = (
-        "learning_rate", "qber_threshold", "mask_scale", "pa_ratio",
-        "depolarize_prob", "snr_db", "partition_skew",
-    )
+    # Float fields that may be +Infinity: noiseless data and a balanced split.
+    _MAY_BE_INFINITE = ("snr_db", "partition_skew")
 
     @classmethod
     def from_dict(cls, raw: dict, source: str = "config") -> "ExperimentConfig":
@@ -150,10 +151,7 @@ class ExperimentConfig:
         for key, val in cls._TASK_DEFAULTS.get(str(merged.get("task")), {}).items():
             merged.setdefault(key, val)
 
-        tuple_fields = {
-            "clients", "modes", "noise_grid", "channel_dims",
-            "channel_widths", "encoder_filters",
-        }
+        tuple_fields = {f.name for f in dataclasses.fields(cls) if f.type.startswith("tuple")}
         for key in tuple_fields & set(merged):
             if not isinstance(merged[key], (list, tuple)):
                 raise ConfigError(f"{source}.{key}: expected a list")
@@ -192,14 +190,21 @@ class ExperimentConfig:
 
         check(self.experiment in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
         check(self.task in TASKS, "task", f"must be one of {TASKS}")
-        check(is_int(self.seed), "seed", "must be an integer")
-        for field in self._INT_FIELDS:
-            check(is_int(getattr(self, field)), field, "must be an integer")
-        for field in self._FLOAT_FIELDS:
-            check(is_number(getattr(self, field)), field, "must be a number")
-        check(isinstance(self.eve, bool), "eve", "must be true or false")
-        check(self.out_dir is None or isinstance(self.out_dir, str), "out_dir",
-              "must be a string")
+        type_checks = {
+            "int": (is_int, "must be an integer"),
+            "float": (is_number, "must be a number"),
+            "bool": (lambda v: isinstance(v, bool), "must be true or false"),
+            "str | None": (lambda v: v is None or isinstance(v, str), "must be a string"),
+        }
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in type_checks:
+                is_type, msg = type_checks[f.type]
+                check(is_type(value), f.name, msg)
+            if f.type == "float" and not -math.inf < value < math.inf:
+                check(value == math.inf and f.name in self._MAY_BE_INFINITE, f.name,
+                      "must be finite")
+        check(self.seed >= 0, "seed", "must be >= 0")
         check(len(self.clients) > 0, "clients", "must be nonempty")
         for i, k in enumerate(self.clients):
             check(is_int(k) and k >= 2, f"clients[{i}]", "must be an integer >= 2")
@@ -224,15 +229,13 @@ class ExperimentConfig:
             check(is_number(eta) and 0.0 <= eta <= 1.0, f"noise_grid[{i}]",
                   "must be a number in [0, 1]")
         check(self.sessions_per_point >= 1, "sessions_per_point", "must be >= 1")
-        check(self.partition_skew > 0 or np.isinf(self.partition_skew),
-              "partition_skew", "must be positive")
+        check(self.partition_skew > 0, "partition_skew", "must be positive")
         check(self.radar_size >= 16, "radar_size", "must be >= 16")
         check(self.radar_size % 8 == 0, "radar_size", "must be divisible by 8")
         check_positive_ints("channel_dims", self.channel_dims, 2)
         check_positive_ints("channel_widths", self.channel_widths, 2)
         check_positive_ints("encoder_filters", self.encoder_filters, 3)
-        check(is_int(self.bottleneck_filters) and self.bottleneck_filters >= 1,
-              "bottleneck_filters", "must be a positive integer")
+        check(self.bottleneck_filters >= 1, "bottleneck_filters", "must be a positive integer")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -306,83 +309,6 @@ def _utility_columns(utility: dict) -> dict:
     }
 
 
-def _run_fl_cell(args) -> tuple[dict, list[dict]]:
-    """One (clients, mode, eve) cell: R federated rounds from a fresh model."""
-    cfg, num_clients, mode, eve = args
-    train, val = cfg.make_datasets()
-    shards = partition_non_iid(
-        train, num_clients, cfg.partition_skew,
-        derive_seed(cfg.seed, _TAG_PARTITION, num_clients),
-    )
-    rcfg = cfg.round_config(num_clients, mode, eve)
-    initial = init_params(cfg.model_spec())
-    _, reports = run_training(initial, cfg.rounds, rcfg, shards, val)
-
-    round_dicts = []
-    for rep in reports:
-        d = rep.to_json_dict()
-        d["cell"] = {"clients": num_clients, "mode": mode, "eve": eve}
-        d["config_hash"] = cfg.config_hash()
-        round_dicts.append(d)
-
-    summary = {
-        "clients": num_clients,
-        "mode": mode,
-        "eve": eve,
-        "rounds_total": len(reports),
-        "rounds_secure": sum(r.status == STATUS_SECURE for r in reports),
-        "rounds_aborted": sum(r.status == STATUS_ABORTED for r in reports),
-        "final_utility": reports[-1].utility,
-        "downlink_bytes": sum(r.bytes_down for r in reports),
-        "uplink_bytes": sum(r.bytes_up for r in reports),
-        "qbers": [r.qber for r in reports],
-        "statuses": [r.status for r in reports],
-    }
-    return summary, round_dicts
-
-
-def worker_count(jobs: int, cells: int) -> int:
-    """Worker processes for `jobs` requested over `cells` cells: never more
-    than there are cells or cores, and at least one."""
-    return max(1, min(jobs, cells, os.cpu_count() or 1))
-
-
-def _map_cells(fn, cells, jobs: int):
-    workers = worker_count(jobs, len(cells))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(c) for c in cells]
-
-
-def run_experiment_a(cfg: ExperimentConfig, jobs: int = 1) -> tuple[list[dict], list[dict]]:
-    """Utility and communication vs. client count; returns (csv rows, round dicts)."""
-    chash = cfg.config_hash()
-    cells = [(cfg, k, mode, cfg.eve) for k in cfg.clients for mode in cfg.modes]
-    results = _map_cells(_run_fl_cell, cells, jobs)
-
-    rows, all_rounds = [], []
-    for summary, round_dicts in results:
-        all_rounds.extend(round_dicts)
-        rows.append({
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": chash,
-            "experiment": "A",
-            "task": cfg.task,
-            "clients": summary["clients"],
-            "mode": summary["mode"],
-            "rounds_total": summary["rounds_total"],
-            "rounds_secure": summary["rounds_secure"],
-            "rounds_aborted": summary["rounds_aborted"],
-            "final_nmse": _utility_columns(summary["final_utility"])["nmse"],
-            "final_accuracy": _utility_columns(summary["final_utility"])["accuracy"],
-            "final_miou": _utility_columns(summary["final_utility"])["miou"],
-            "downlink_bytes": summary["downlink_bytes"],
-            "uplink_bytes": summary["uplink_bytes"],
-        })
-    return rows, all_rounds
-
-
 # Fixed threat-model arms; the attack arm always runs the masked mode under Eve.
 _B_ARMS = (
     ("baseline", "plain", False),
@@ -391,83 +317,122 @@ _B_ARMS = (
 )
 
 
-def run_experiment_b(cfg: ExperimentConfig, jobs: int = 1):
-    """Threat-model outcomes; returns (round rows, summary rows, round dicts)."""
-    chash = cfg.config_hash()
-    num_clients = cfg.clients[0]
-    cells = [(cfg, num_clients, mode, eve) for _, mode, eve in _B_ARMS]
-    results = _map_cells(_run_fl_cell, cells, jobs)
+def _cells(cfg: ExperimentConfig) -> list[tuple]:
+    """The run's cells in output order: (arm, clients, mode, eve) for a
+    federated cell of A or B, (point index, eta) for a point of the C sweep."""
+    if cfg.experiment == "A":
+        return [(None, k, mode, cfg.eve) for k in cfg.clients for mode in cfg.modes]
+    if cfg.experiment == "B":
+        return [(arm, cfg.clients[0], mode, eve) for arm, mode, eve in _B_ARMS]
+    return list(enumerate(cfg.noise_grid))
 
-    round_rows, summary_rows, all_rounds = [], [], []
-    for (arm, mode, eve), (summary, round_dicts) in zip(_B_ARMS, results):
-        for d in round_dicts:
-            d["cell"]["arm"] = arm
-        all_rounds.extend(round_dicts)
-        for d in round_dicts:
-            util = _utility_columns(d["utility"])
-            round_rows.append({
-                "schema_version": SCHEMA_VERSION,
-                "config_hash": chash,
-                "arm": arm,
-                "mode": mode,
-                "eve": eve,
-                "round": d["round"],
-                "status": d["status"],
-                "qber": d["qber"],
-                "nmse": util["nmse"],
-                "accuracy": util["accuracy"],
-                "miou": util["miou"],
-            })
-        qbers = [q for q in summary["qbers"] if q is not None]
-        retained = _utility_columns(summary["final_utility"])
-        summary_rows.append({
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": chash,
-            "arm": arm,
+
+def _run_cell(args) -> dict[str, list[dict]]:
+    """Run one cell; returns its rows keyed by output file name."""
+    cfg, cell = args
+    head = {"schema_version": SCHEMA_VERSION, "config_hash": cfg.config_hash()}
+
+    if cfg.experiment == "C":
+        index, eta = cell
+        template = cfg.bb84_template(cfg.eve)
+        sessions = [
+            run_bb84(dataclasses.replace(
+                template, depolarize_prob=eta,
+                rng_seed=derive_seed(cfg.seed, _TAG_SWEEP, index, s),
+            ))
+            for s in range(cfg.sessions_per_point)
+        ]
+        qbers = np.array([s.qber for s in sessions])
+        return {"exp_c_sweep.csv": [{
+            **head,
+            "eta": eta,
+            "sessions": len(sessions),
+            "mean_qber": float(qbers.mean()),
+            "abort_rate": float(np.mean(qbers >= cfg.qber_threshold)),
+            "qber_threshold": cfg.qber_threshold,
+            "mean_sifted_len": float(np.mean([s.sifted_len for s in sessions])),
+        }]}
+
+    # R federated rounds from a fresh model.
+    arm, k, mode, eve = cell
+    train, val = cfg.make_datasets()
+    shards = partition_non_iid(
+        train, k, cfg.partition_skew, derive_seed(cfg.seed, _TAG_PARTITION, k)
+    )
+    _, reports = run_training(
+        init_params(cfg.model_spec()), cfg.rounds, cfg.round_config(k, mode, eve), shards, val
+    )
+    coords = {"clients": k, "mode": mode, "eve": eve}
+    if arm is not None:
+        coords["arm"] = arm
+    rounds = [
+        {**r.to_json_dict(), "cell": dict(coords), "config_hash": head["config_hash"]}
+        for r in reports
+    ]
+    final = _utility_columns(reports[-1].utility)
+    secure = sum(r.status == STATUS_SECURE for r in reports)
+    aborted = sum(r.status == STATUS_ABORTED for r in reports)
+
+    if arm is None:
+        return {"rounds.jsonl": rounds, "exp_a_summary.csv": [{
+            **head,
+            "experiment": "A",
+            "task": cfg.task,
+            "clients": k,
             "mode": mode,
-            "eve": eve,
-            "rounds": summary["rounds_total"],
-            "secure": summary["rounds_secure"],
-            "aborted": summary["rounds_aborted"],
+            "rounds_total": len(reports),
+            "rounds_secure": secure,
+            "rounds_aborted": aborted,
+            **{f"final_{key}": v for key, v in final.items()},
+            "downlink_bytes": sum(r.bytes_down for r in reports),
+            "uplink_bytes": sum(r.bytes_up for r in reports),
+        }]}
+
+    arm_columns = {**head, "arm": arm, "mode": mode, "eve": eve}
+    qbers = [r.qber for r in reports if r.qber is not None]
+    return {
+        "rounds.jsonl": rounds,
+        "exp_b_rounds.csv": [
+            {**arm_columns, "round": d["round"], "status": d["status"], "qber": d["qber"],
+             **_utility_columns(d["utility"])}
+            for d in rounds
+        ],
+        "exp_b_summary.csv": [{
+            **arm_columns,
+            "rounds": len(reports),
+            "secure": secure,
+            "aborted": aborted,
             "recovered": 0,  # aborted rounds are consumed, never retried
             "mean_qber": float(np.mean(qbers)) if qbers else None,
-            "retained_nmse": retained["nmse"],
-            "retained_accuracy": retained["accuracy"],
-            "retained_miou": retained["miou"],
-        })
-    return round_rows, summary_rows, all_rounds
-
-
-def _run_sweep_point(args) -> dict:
-    cfg, point_index, eta = args
-    sessions = []
-    for s in range(cfg.sessions_per_point):
-        bb84 = BB84Config(
-            raw_len=cfg.raw_key_len,
-            pa_ratio=cfg.pa_ratio,
-            depolarize_prob=eta,
-            eve_present=cfg.eve,
-            rng_seed=derive_seed(cfg.seed, _TAG_SWEEP, point_index, s),
-        )
-        sessions.append(run_bb84(bb84))
-    qbers = np.array([s.qber for s in sessions])
-    sift = np.array([s.sifted_len for s in sessions])
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": cfg.config_hash(),
-        "eta": eta,
-        "sessions": len(sessions),
-        "mean_qber": float(qbers.mean()),
-        "abort_rate": float(np.mean(qbers >= cfg.qber_threshold)),
-        "qber_threshold": cfg.qber_threshold,
-        "mean_sifted_len": float(sift.mean()),
+            **{f"retained_{key}": v for key, v in final.items()},
+        }],
     }
 
 
-def run_experiment_c(cfg: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    """Noise sweep over fresh key-agreement sessions; returns csv rows."""
-    cells = [(cfg, i, eta) for i, eta in enumerate(cfg.noise_grid)]
-    return _map_cells(_run_sweep_point, cells, jobs)
+def worker_count(jobs: int, cells: int) -> int:
+    """Worker processes for `jobs` requested over `cells` cells: never more
+    than there are cells or cores, and at least one."""
+    return max(1, min(jobs, cells, os.cpu_count() or 1))
+
+
+def run_cells(cfg: ExperimentConfig, jobs: int = 1) -> dict[str, list[dict]]:
+    """Run every cell of the configured experiment, serially or over `jobs`
+    worker processes; returns each output file's rows, concatenated in cell
+    order, keyed by file name."""
+    if jobs < 1:
+        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
+    cells = [(cfg, cell) for cell in _cells(cfg)]
+    workers = worker_count(jobs, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_cell, cells))
+    else:
+        results = [_run_cell(c) for c in cells]
+    tables: dict[str, list[dict]] = {}
+    for result in results:
+        for name, rows in result.items():
+            tables.setdefault(name, []).extend(rows)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -507,46 +472,40 @@ def _write_jsonl(path: Path, dicts: list[dict]) -> None:
             fh.write("\n")
 
 
+# The summary.json key each output table is echoed under; exp_b_rounds.csv
+# repeats rounds.jsonl and is not echoed.
+_SUMMARY_KEYS = {
+    "rounds.jsonl": "rounds",
+    "exp_a_summary.csv": "final",
+    "exp_b_summary.csv": "final",
+    "exp_c_sweep.csv": "sweep",
+}
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     """Run the configured experiment and persist all outputs under out_dir.
 
     Returns the manifest dict.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
+    tables = run_cells(cfg, jobs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
-    files = ["manifest.json", "summary.json"]
     summary: dict = {"config": cfg.to_dict(), "config_hash": chash}
-
-    if cfg.experiment == "A":
-        rows, rounds = run_experiment_a(cfg, jobs)
-        write_csv(out / "exp_a_summary.csv", "exp_a_summary.csv", rows)
-        _write_jsonl(out / "rounds.jsonl", rounds)
-        summary["rounds"] = rounds
-        summary["final"] = rows
-        files += ["exp_a_summary.csv", "rounds.jsonl"]
-    elif cfg.experiment == "B":
-        round_rows, summary_rows, rounds = run_experiment_b(cfg, jobs)
-        write_csv(out / "exp_b_rounds.csv", "exp_b_rounds.csv", round_rows)
-        write_csv(out / "exp_b_summary.csv", "exp_b_summary.csv", summary_rows)
-        _write_jsonl(out / "rounds.jsonl", rounds)
-        summary["rounds"] = rounds
-        summary["final"] = summary_rows
-        files += ["exp_b_rounds.csv", "exp_b_summary.csv", "rounds.jsonl"]
-    else:
-        rows = run_experiment_c(cfg, jobs)
-        write_csv(out / "exp_c_sweep.csv", "exp_c_sweep.csv", rows)
-        summary["sweep"] = rows
-        files += ["exp_c_sweep.csv"]
+    for name, rows in tables.items():
+        if name.endswith(".jsonl"):
+            _write_jsonl(out / name, rows)
+        else:
+            write_csv(out / name, name, rows)
+        if name in _SUMMARY_KEYS:
+            summary[_SUMMARY_KEYS[name]] = rows
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
         "config_hash": chash,
-        "csv_schemas": {f: CSV_SCHEMAS[f] for f in files if f.endswith(".csv")},
-        "files": sorted(files),
+        "csv_schemas": {name: CSV_SCHEMAS[name] for name in tables if name in CSV_SCHEMAS},
+        "files": sorted(["manifest.json", "summary.json", *tables]),
     }
     _write_json(out / "manifest.json", manifest)
     _write_json(out / "summary.json", summary)

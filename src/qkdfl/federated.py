@@ -282,8 +282,8 @@ def partition_non_iid(
     n = len(dataset)
     if n < num_clients:
         raise ValueError(f"dataset of {n} samples cannot feed {num_clients} clients")
-    if skew <= 0 and not math.isinf(skew):
-        raise ValueError("skew must be positive")
+    if not skew > 0:
+        raise ValueError(f"skew must be positive, got {skew}")
     rng = np.random.default_rng(seed)
 
     if math.isinf(skew):

@@ -19,9 +19,8 @@ import qkdfl.params as pvops
 from qkdfl.datasets import gen_channel_dataset
 from qkdfl.experiments import (
     ExperimentConfig,
+    run_cells,
     run_experiment,
-    run_experiment_a,
-    run_experiment_c,
 )
 from qkdfl.federated import (
     STATUS_ABORTED,
@@ -140,7 +139,7 @@ def test_criterion_04_noise_sweep():
         "noise_grid": [0.0, 0.05, 0.10, 0.15, 0.20],
         "sessions_per_point": 1000, "qber_threshold": 0.08,
     })
-    rows = run_experiment_c(cfg)
+    rows = run_cells(cfg)["exp_c_sweep.csv"]
     means = [r["mean_qber"] for r in rows]
     for r in rows:
         assert abs(r["mean_qber"] - r["eta"] / 2) < 0.01
@@ -158,7 +157,7 @@ def test_criterion_05_utility_parity():
         "experiment": "A", "task": "channel", "seed": 5,
         "clients": [3], "rounds": 5, "modes": ["plain", "qkd_sa"],
     })
-    rows, _ = run_experiment_a(cfg)
+    rows = run_cells(cfg)["exp_a_summary.csv"]
     nmse_by_mode = {r["mode"]: r["final_nmse"] for r in rows}
     rel_gap = abs(nmse_by_mode["plain"] - nmse_by_mode["qkd_sa"]) / nmse_by_mode["plain"]
     assert rel_gap < 0.05
@@ -176,7 +175,7 @@ def test_criterion_06_communication_scaling():
         "epochs": 0, "train_samples": 20, "val_samples": 2,
         "channel_dims": [16, 14],
     })
-    rows, _ = run_experiment_a(cfg)
+    rows = run_cells(cfg)["exp_a_summary.csv"]
     up = {r["clients"]: r["uplink_bytes"] for r in rows}
     assert up[10] * 3 == up[3] * 10
     assert up[20] * 3 == up[3] * 20

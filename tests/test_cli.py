@@ -60,6 +60,13 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert err == "error: RuntimeError: disk on fire\n"
 
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        assert main(["run", str(cfg), "--seed", "-3", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "config error" in capsys.readouterr().err
@@ -107,6 +114,10 @@ class TestValidateVerb:
             ({"mask_scale": None}, "mask_scale"),
             ({"noise_grid": ["a"]}, "noise_grid[0]"),
             ({"task": ["channel"]}, "task"),
+            ({"seed": -5}, "seed"),
+            ({"snr_db": float("nan")}, "snr_db"),
+            ({"partition_skew": -float("inf")}, "partition_skew"),
+            ({"learning_rate": float("inf")}, "learning_rate"),
         ],
     )
     def test_bad_model_fields_exit_code(self, tmp_path, capsys, verb, overrides, field):

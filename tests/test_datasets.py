@@ -34,6 +34,11 @@ class TestChannelDataset:
         assert samples[0].truth.size * len(samples) >= 100_000
         assert abs(power - 1.0) < 0.02
 
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_nan_or_minus_inf_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            gen_channel_dataset(2, snr_db=snr_db, dims=(8, 4), seed=0)
+
     def test_full_scale_dims(self):
         samples = gen_channel_dataset(2, snr_db=10.0, dims=(612, 14), seed=2)
         assert samples[0].pilots.size == 8568

@@ -8,10 +8,8 @@ from qkdfl.experiments import (
     CSV_SCHEMAS,
     ExperimentConfig,
     report_leakage,
+    run_cells,
     run_experiment,
-    run_experiment_a,
-    run_experiment_b,
-    run_experiment_c,
     worker_count,
 )
 
@@ -72,11 +70,21 @@ class TestConfig:
             ({"noise_grid": [0.0, False]}, r"noise_grid\[1\]"),
             ({"out_dir": 5}, r"config\.out_dir"),
             ({"task": ["channel"]}, r"config\.task"),
+            ({"seed": -5}, r"config\.seed: must be >= 0"),
+            ({"snr_db": float("nan")}, r"config\.snr_db: must be finite"),
+            ({"snr_db": -float("inf")}, r"config\.snr_db: must be finite"),
+            ({"partition_skew": -float("inf")}, r"config\.partition_skew: must be finite"),
+            ({"learning_rate": float("inf")}, r"config\.learning_rate: must be finite"),
+            ({"mask_scale": float("inf")}, r"config\.mask_scale: must be finite"),
         ],
     )
     def test_bad_model_or_seed_field_named(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
             make_cfg(**overrides)
+
+    def test_infinite_snr_and_skew_allowed(self):
+        cfg = make_cfg(snr_db=float("inf"), partition_skew=float("inf"))
+        assert cfg.snr_db == cfg.partition_skew == float("inf")
 
     def test_task_defaults_applied(self):
         cfg = ExperimentConfig.from_dict(
@@ -105,7 +113,7 @@ class TestConfig:
 
 class TestExperimentA:
     def test_uplink_proportional_downlink_constant(self):
-        rows, _ = run_experiment_a(make_cfg(modes=["qkd_sa"]))
+        rows = run_cells(make_cfg(modes=["qkd_sa"]))["exp_a_summary.csv"]
         by_k = {r["clients"]: r for r in rows}
         up3, up10, up20 = (by_k[k]["uplink_bytes"] for k in (3, 10, 20))
         assert up10 * 3 == up3 * 10
@@ -114,19 +122,20 @@ class TestExperimentA:
         assert len(downs) == 1
 
     def test_mode_parity_small_run(self):
-        rows, _ = run_experiment_a(make_cfg(clients=[3], rounds=2, epochs=1))
+        rows = run_cells(make_cfg(clients=[3], rounds=2, epochs=1))["exp_a_summary.csv"]
         nmse = {r["mode"]: r["final_nmse"] for r in rows}
         assert abs(nmse["plain"] - nmse["qkd_sa"]) / nmse["plain"] < 0.05
 
     def test_rounds_carry_cell_coordinates(self):
-        _, rounds = run_experiment_a(make_cfg(clients=[3], modes=["plain"]))
+        rounds = run_cells(make_cfg(clients=[3], modes=["plain"]))["rounds.jsonl"]
         assert all(d["cell"] == {"clients": 3, "mode": "plain", "eve": False} for d in rounds)
 
 
 @pytest.fixture(scope="module")
 def results():
     cfg = make_cfg(experiment="B", clients=[3], rounds=5, epochs=1)
-    return run_experiment_b(cfg)
+    tables = run_cells(cfg)
+    return tables["exp_b_rounds.csv"], tables["exp_b_summary.csv"], tables["rounds.jsonl"]
 
 
 class TestExperimentB:
@@ -163,7 +172,7 @@ class TestExperimentC:
             noise_grid=[0.0, 0.05, 0.10, 0.15, 0.20],
             sessions_per_point=100,
         )
-        rows = run_experiment_c(cfg)
+        rows = run_cells(cfg)["exp_c_sweep.csv"]
         means = [r["mean_qber"] for r in rows]
         assert means[0] == 0.0
         assert rows[0]["abort_rate"] == 0.0
@@ -222,6 +231,27 @@ class TestRadarExperiment:
         assert manifest["config"]["batch_size"] == 4  # radar task default
 
 
+# Per family: config overrides, the manifest's file list, the summary.json keys.
+RUN_DIR_FAMILIES = {
+    "A": (
+        {"clients": [2, 3], "modes": ["plain", "qkd_sa"]},
+        ["exp_a_summary.csv", "manifest.json", "rounds.jsonl", "summary.json"],
+        ["config", "config_hash", "final", "rounds"],
+    ),
+    "B": (
+        {"experiment": "B", "clients": [2]},
+        ["exp_b_rounds.csv", "exp_b_summary.csv", "manifest.json", "rounds.jsonl",
+         "summary.json"],
+        ["config", "config_hash", "final", "rounds"],
+    ),
+    "C": (
+        {"experiment": "C", "noise_grid": [0.0, 0.1, 0.2], "sessions_per_point": 20},
+        ["exp_c_sweep.csv", "manifest.json", "summary.json"],
+        ["config", "config_hash", "sweep"],
+    ),
+}
+
+
 class TestRunDirectory:
     def test_outputs_and_schemas(self, tmp_path):
         cfg = make_cfg(clients=[3], modes=["plain"])
@@ -240,23 +270,30 @@ class TestRunDirectory:
         for line in (tmp_path / "run" / "rounds.jsonl").read_text().splitlines():
             json.loads(line)  # every line is valid JSON
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = make_cfg(clients=[2, 3], modes=["plain", "qkd_sa"], epochs=1, rounds=2)
-        run_experiment(cfg, tmp_path / "one")
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_byte_identical_reruns(self, tmp_path, family):
+        overrides, files, summary_keys = RUN_DIR_FAMILIES[family]
+        cfg = make_cfg(**overrides, epochs=1, rounds=2)
+        manifest = run_experiment(cfg, tmp_path / "one")
         run_experiment(cfg, tmp_path / "two")
-        for name in ("manifest.json", "summary.json", "rounds.jsonl", "exp_a_summary.csv"):
+        assert manifest["files"] == files
+        summary = json.loads((tmp_path / "one" / "summary.json").read_text())
+        assert sorted(summary) == summary_keys
+        for name in files:
             a = (tmp_path / "one" / name).read_bytes()
             b = (tmp_path / "two" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
-    def test_parallel_jobs_identical_output(self, tmp_path):
-        cfg = make_cfg(clients=[2, 3], modes=["plain", "qkd_sa"])
+    @pytest.mark.parametrize("family", ["A", "B", "C"])
+    def test_parallel_jobs_identical_output(self, tmp_path, family):
+        overrides, files, _ = RUN_DIR_FAMILIES[family]
+        cfg = make_cfg(**overrides)
         run_experiment(cfg, tmp_path / "serial", jobs=1)
         run_experiment(cfg, tmp_path / "parallel", jobs=2)
-        for name in ("exp_a_summary.csv", "rounds.jsonl"):
+        for name in files:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "parallel" / name
-            ).read_bytes()
+            ).read_bytes(), f"{name} differs between --jobs 1 and --jobs 2"
 
 
 class TestWorkerCount:

@@ -71,6 +71,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_non_iid(list(range(3)), 4, skew=1.0, seed=0)
 
+    @pytest.mark.parametrize("skew", [0.0, -1.0, -np.inf, np.nan])
+    def test_non_positive_or_nan_skew_rejected(self, skew):
+        with pytest.raises(ValueError, match="skew"):
+            partition_non_iid(list(range(8)), 2, skew=skew, seed=0)
+
     def test_feature_skew_orders_shards(self):
         # contiguous feature blocks: shard means must be strictly ordered
         data = gen_channel_dataset(40, snr_db=10.0, dims=(16, 14), seed=5)
