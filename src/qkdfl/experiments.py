@@ -201,9 +201,14 @@ class ExperimentConfig:
             if f.type in type_checks:
                 is_type, msg = type_checks[f.type]
                 check(is_type(value), f.name, msg)
-            if f.type == "float" and not -math.inf < value < math.inf:
-                check(value == math.inf and f.name in self._MAY_BE_INFINITE, f.name,
-                      "must be finite")
+            if f.type == "float":
+                try:
+                    value = float(value)
+                except OverflowError:  # a JSON integer beyond the float range
+                    raise ConfigError(f"{source}.{f.name}: must fit in a float") from None
+                if not math.isfinite(value):
+                    check(value == math.inf and f.name in self._MAY_BE_INFINITE, f.name,
+                          "must be finite")
         check(self.seed >= 0, "seed", "must be >= 0")
         check(len(self.clients) > 0, "clients", "must be nonempty")
         for i, k in enumerate(self.clients):

@@ -3,7 +3,10 @@
 Layers are stateful: forward() caches what backward() needs, so each layer
 instance belongs to exactly one position in one model.  Tensors are NHWC.
 Convolutions are stride-1 with same padding (odd kernels only), which keeps
-spatial dims equal between input and output at every scale.
+spatial dims equal between input and output at every scale.  A convolution
+is kh accumulated matmuls over the row offsets of one width-only buffer
+holding the kw column shifts side by side; no full im2col matrix is built.
+Softplus is max(x, 0) + log1p(exp(-|x|)), evaluated in one output buffer.
 """
 
 from __future__ import annotations
@@ -27,22 +30,43 @@ def truncated_normal_init(
     return np.asarray(draws, dtype=np.float64).reshape(shape)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Same-padded kh x kw windows of NHWC `x`, one row per output pixel.
+def _rowcols(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Same-padded rows of NHWC `x` with the kw column shifts side by side.
 
-    Rows are ordered (kh, kw, c) to match a (kh, kw, c, cout) kernel reshaped
-    to (kh * kw * c, cout).
+    Returns an (n, h + 2 * (kh // 2), w, kw * c) array whose last axis is
+    ordered (kw, c), matching row i of a (kh, kw, c, cout) kernel reshaped
+    to (kh, kw * c, cout); rows i .. i + h - 1 are that row's operand.
     """
     n, h, w, c = x.shape
     ph, pw = kh // 2, kw // 2
     xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-    return cols.reshape(n * h * w, kh * kw * c)
+    shifts = sliding_window_view(xp, kw, axis=2).transpose(0, 1, 2, 4, 3)
+    return np.ascontiguousarray(shifts).reshape(n, h + 2 * ph, w, kw * c)
+
+
+def _row_slices(rows: np.ndarray, h: int):
+    """The kh row-offset operands of `_rowcols` rows, each an (n, h * w, kw * c) view."""
+    n, hp, w, k = rows.shape
+    return [rows[:, i : i + h].reshape(n, h * w, k) for i in range(hp - h + 1)]
+
+
+def _rowconv(rows: np.ndarray, wk: np.ndarray, h: int) -> np.ndarray:
+    """Same-padded convolution as kh accumulated matmuls, sum_i rows_i @ wk[i].
+
+    `rows` comes from `_rowcols` and `wk` is the (kh, kw * c, cout) kernel;
+    returns (n, h * w, cout).
+    """
+    ops = _row_slices(rows, h)
+    out = ops[0] @ wk[0]
+    tmp = np.empty_like(out)
+    for op, wi in zip(ops[1:], wk[1:]):
+        out += np.matmul(op, wi, out=tmp)
+    return out
 
 
 class Conv2D:
-    """Same-padded stride-1 convolution via im2col.
+    """Same-padded stride-1 convolution via the row-offset kernel, which
+    serves the forward pass, the weight gradient and the input gradient.
 
     init_params() and backward() write w/b and dw/db in place, so they may
     be views into a model's buffers.  With `input_grad=False` (a model's
@@ -60,7 +84,7 @@ class Conv2D:
         self.b = np.zeros(cout)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._cols = None
+        self._rows = None
         self._xshape = None
 
     def init_params(self, rng: np.random.Generator) -> None:
@@ -71,22 +95,25 @@ class Conv2D:
         n, h, w, cin = x.shape
         if cin != self.cin:
             raise ValueError(f"{self.name}: expected {self.cin} input channels, got {cin}")
-        self._cols = _im2col(x, self.kh, self.kw)
+        self._rows = _rowcols(x, self.kh, self.kw)
         self._xshape = x.shape
-        out = self._cols @ self.w.reshape(-1, self.cout) + self.b
+        out = _rowconv(self._rows, self.w.reshape(self.kh, -1, self.cout), h)
+        out += self.b
         return out.reshape(n, h, w, self.cout)
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
         n, h, w, cin = self._xshape
-        dy2 = dy.reshape(n * h * w, self.cout)
-        self.dw[...] = (self._cols.T @ dy2).reshape(self.w.shape)
-        self.db[...] = dy2.sum(axis=0)
+        dy3 = dy.reshape(n, h * w, self.cout)
+        dwk = self.dw.reshape(self.kh, -1, self.cout)
+        for i, op in enumerate(_row_slices(self._rows, h)):
+            np.matmul(op.transpose(0, 2, 1), dy3).sum(axis=0, out=dwk[i])
+        self.db[...] = dy.reshape(-1, self.cout).sum(axis=0)
         if not self.input_grad:
             return None
         # For a stride-1 same-padded odd kernel, dx is the same convolution of
         # dy with the kernel rotated 180 degrees and its channel axes swapped.
-        w_t = self.w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin)
-        return (_im2col(dy, self.kh, self.kw) @ w_t).reshape(n, h, w, cin)
+        w_t = self.w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(self.kh, -1, cin)
+        return _rowconv(_rowcols(dy, self.kh, self.kw), w_t, h).reshape(n, h, w, cin)
 
 
 class Activation:
@@ -107,7 +134,13 @@ class Activation:
                 x > 0, x, SELU_ALPHA * np.expm1(np.minimum(x, 0.0))
             )
         if self.kind == "softplus":
-            return np.logaddexp(0.0, x)
+            # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), in one buffer.
+            out = np.abs(x)
+            np.negative(out, out=out)
+            np.exp(out, out=out)
+            np.log1p(out, out=out)
+            out += np.maximum(x, 0.0)
+            return out
         return np.maximum(x, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

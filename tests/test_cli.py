@@ -118,6 +118,8 @@ class TestValidateVerb:
             ({"snr_db": float("nan")}, "snr_db"),
             ({"partition_skew": -float("inf")}, "partition_skew"),
             ({"learning_rate": float("inf")}, "learning_rate"),
+            ({"learning_rate": 10**400}, "learning_rate"),
+            ({"snr_db": -(10**400)}, "snr_db"),
         ],
     )
     def test_bad_model_fields_exit_code(self, tmp_path, capsys, verb, overrides, field):

@@ -76,11 +76,18 @@ class TestConfig:
             ({"partition_skew": -float("inf")}, r"config\.partition_skew: must be finite"),
             ({"learning_rate": float("inf")}, r"config\.learning_rate: must be finite"),
             ({"mask_scale": float("inf")}, r"config\.mask_scale: must be finite"),
+            ({"learning_rate": 10**400}, r"config\.learning_rate: must fit in a float"),
+            ({"snr_db": -(10**400)}, r"config\.snr_db: must fit in a float"),
+            ({"partition_skew": 10**400}, r"config\.partition_skew: must fit in a float"),
+            ({"depolarize_prob": 10**309}, r"config\.depolarize_prob: must fit in a float"),
         ],
     )
     def test_bad_model_or_seed_field_named(self, overrides, field):
         with pytest.raises(ConfigError, match=field):
             make_cfg(**overrides)
+
+    def test_large_integer_float_field_allowed(self):
+        assert make_cfg(learning_rate=10**300).learning_rate == 10**300
 
     def test_infinite_snr_and_skew_allowed(self):
         cfg = make_cfg(snr_db=float("inf"), partition_skew=float("inf"))

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import convolve2d, correlate2d
+from scipy.special import expit
 
 from qkdfl.models import (
     ModelSpec,
@@ -9,7 +13,7 @@ from qkdfl.models import (
     init_params,
     set_params,
 )
-from qkdfl.nn import Conv2D, softmax
+from qkdfl.nn import Activation, Conv2D, softmax
 
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-4
@@ -36,6 +40,141 @@ def finite_difference_worst(net, x, y, n_coords, coord_seed=0):
         analytic = grads[ti][idx]
         worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-8))
     return worst
+
+
+def _im2col(x, kh, kw):
+    """Same-padded kh x kw windows of NHWC `x`, one row per output pixel,
+    ordered (kh, kw, c): the full im2col matrix the conv kernel avoids."""
+    n, h, w, c = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    return cols.reshape(n * h * w, kh * kw * c)
+
+
+def im2col_conv(x, w, b, dy):
+    """(out, dw, db, dx) of a same-padded conv as single im2col matmuls."""
+    n, h, wd, cin = x.shape
+    kh, kw, _, cout = w.shape
+    cols = _im2col(x, kh, kw)
+    out = (cols @ w.reshape(-1, cout) + b).reshape(n, h, wd, cout)
+    dy2 = dy.reshape(-1, cout)
+    dw = (cols.T @ dy2).reshape(w.shape)
+    db = dy2.sum(axis=0)
+    w_t = w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin)
+    dx = (_im2col(dy, kh, kw) @ w_t).reshape(n, h, wd, cin)
+    return out, dw, db, dx
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+odd = st.sampled_from([1, 3, 5, 7, 9])
+
+
+class TestConvIm2colOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(kh=odd, kw=odd, n=st.integers(1, 3), h=st.integers(1, 12), w=st.integers(1, 12),
+           cin=st.integers(1, 4), cout=st.integers(1, 4), input_grad=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kh=1, kw=1, n=1, h=5, w=4, cin=3, cout=2, input_grad=True, seed=0)
+    @example(kh=9, kw=9, n=2, h=12, w=10, cin=2, cout=3, input_grad=True, seed=1)
+    @example(kh=5, kw=3, n=1, h=9, w=7, cin=2, cout=3, input_grad=False, seed=2)
+    @example(kh=9, kw=9, n=1, h=1, w=6, cin=2, cout=2, input_grad=True, seed=3)
+    @example(kh=9, kw=9, n=3, h=6, w=2, cin=1, cout=4, input_grad=True, seed=4)
+    @example(kh=9, kw=9, n=1, h=1, w=1, cin=1, cout=1, input_grad=False, seed=5)
+    def test_matches_im2col(self, kh, kw, n, h, w, cin, cout, input_grad, seed):
+        rng = np.random.default_rng(seed)
+        conv = Conv2D("c", kh, kw, cin, cout, input_grad=input_grad)
+        conv.w[...] = rng.standard_normal(conv.w.shape)
+        conv.b[...] = rng.standard_normal(cout)
+        x = rng.standard_normal((n, h, w, cin))
+        dy = rng.standard_normal((n, h, w, cout))
+        out, dw, db, dx = im2col_conv(x, conv.w, conv.b, dy)
+
+        assert rel_err(conv.forward(x), out) <= 1e-12
+        got_dx = conv.backward(dy)
+        assert rel_err(conv.dw, dw) <= 1e-12
+        assert rel_err(conv.db, db) <= 1e-12
+        if input_grad:
+            assert rel_err(got_dx, dx) <= 1e-12
+        else:
+            assert got_dx is None
+
+
+class TestGradsInModelBuffers:
+    @staticmethod
+    def _record(conv, seen):
+        forward, backward = conv.forward, conv.backward
+
+        def fwd(x):
+            seen[conv.name] = [x]
+            return forward(x)
+
+        def bwd(dy):
+            seen[conv.name].append(dy)
+            return backward(dy)
+
+        conv.forward, conv.backward = fwd, bwd
+
+    @pytest.mark.parametrize("task,shape", [("channel", (3, 16, 14, 1)), ("radar", (2, 16, 16, 3))])
+    def test_dw_db_are_buffer_views_holding_oracle_values(self, task, shape):
+        spec = ModelSpec(task=task, init_seed=4)
+        net = build_model(spec)
+        set_params(net, init_params(spec))
+        seen = {}
+        for conv in net.convs:
+            self._record(conv, seen)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(shape)
+        if task == "channel":
+            y = np.abs(rng.standard_normal(shape))
+        else:
+            y = rng.integers(0, 4, shape[:3])
+        _, grads = net.loss_and_grads(x, y)
+
+        assert grads is net.grads
+        entries = dict(grads.entries)
+        for conv in net.convs:
+            assert np.shares_memory(conv.dw, net.grads.buf)
+            assert np.shares_memory(conv.db, net.grads.buf)
+            xin, dy = seen[conv.name]
+            _, dw, db, _ = im2col_conv(xin, conv.w, conv.b, dy)
+            assert rel_err(entries[f"{conv.name}.w"], dw) <= 1e-12
+            assert rel_err(entries[f"{conv.name}.b"], db) <= 1e-12
+            assert np.abs(dw).max() > 0
+
+
+class TestSoftplus:
+    def test_exact_at_special_values(self):
+        x = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf])
+        got = Activation("softplus").forward(x)
+        assert np.array_equal(got, np.logaddexp(0.0, x))
+        assert not np.signbit(got).any()
+
+    def test_within_two_ulp_of_logaddexp(self):
+        x = np.linspace(-50.0, 50.0, 400_001)
+        got = Activation("softplus").forward(x)
+        want = np.logaddexp(0.0, x)
+        assert (want > 0).all() and (got > 0).all()
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 2
+
+    def test_forward_keeps_input(self):
+        x = np.linspace(-3.0, 3.0, 13)
+        kept = x.copy()
+        Activation("softplus").forward(x)
+        assert np.array_equal(x, kept)
+
+    def test_backward_is_sigmoid(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2, 5, 4, 3)) * 10
+        dy = rng.standard_normal(x.shape)
+        act = Activation("softplus")
+        act.forward(x)
+        assert np.array_equal(act.backward(dy), dy * expit(x))
 
 
 class TestConvForwardOracle:
