@@ -18,7 +18,7 @@ class AggregationShapeError(QkdflError):
 
 
 class ProtocolError(QkdflError):
-    """Updates from different rounds (or duplicate clients) were mixed."""
+    """Masked updates mix rounds, repeat a client or miss part of the cohort."""
 
 
 class UndefinedProxyError(QkdflError):

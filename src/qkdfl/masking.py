@@ -15,14 +15,21 @@ Mask bits are consumed MSB-first and mapped 1 -> +gamma, 0 -> -gamma,
 computed exactly as (2 * bit - 1) * gamma in float64.  Folding the tensor
 ordinal into the keystream gives every named tensor an independent stream
 while keeping both ends of a pair bit-identical (both clients walk tensors
-in the same canonical order).  A client derives each pair key once per peer
-and reuses it for every tensor of its upload; each tensor's mask lands in
-its slice of one flat buffer, so aggregation and leakage are flat operations.
+in the same canonical order).  Each tensor's mask lands in its slice of one
+flat buffer, so aggregation and leakage are flat operations.
+
+Each pair's keystreams are expanded once per round.  The first end of a pair
+to mask derives the pair key, expands every tensor's stream and parks the
+streams bit-packed on the round's MaskingContext; the other end pops them
+and unpacks them instead of hashing.  A stream is dropped on its second use,
+so a context holds at most about (K/2)^2 pairs' packed streams mid-round
+(one bit per parameter each: 100 x 121 KB for K = 20 and 969,380
+parameters) and none once all K clients have masked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +57,11 @@ class MaskingContext:
     num_clients: int
     mask_scale: float = DEFAULT_MASK_SCALE
     key_bits: int = DEFAULT_PAIR_KEY_BITS
+    # (lo, hi, tensor sizes) -> the pair's packed per-tensor keystreams, parked
+    # by the first end of the pair to mask and popped by the second.
+    _pending_streams: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         seed = np.asarray(self.round_seed, dtype=np.uint8)
@@ -76,6 +88,7 @@ class MaskedUpdate:
     client_index: int
     round_index: int
     params: ParamVec
+    num_clients: int
 
 
 def derive_pair_key(ctx: MaskingContext, i: int, j: int) -> np.ndarray:
@@ -141,21 +154,43 @@ def pair_mask_sum(pv: ParamVec, client_index: int, ctx: MaskingContext) -> Param
     """Signed sum of all pair masks for one client, laid out like `pv`.
 
     Client i adds m_ij for j > i and subtracts it for j < i; the tensor
-    ordinal is the entry's position in canonical order.  Each pair key is
-    derived once per peer; every element still takes its terms in ascending j.
+    ordinal is the entry's position in canonical order.  The first end of a
+    pair to call this on `ctx` derives the pair key and expands the pair's
+    streams, parking them packed on `ctx`; the second end pops and unpacks
+    them.  Both ends map the same bits to the same signs, and every element
+    still takes its terms in ascending j.
     """
+    if not 0 <= client_index < ctx.num_clients:
+        raise InvalidPairError(
+            f"client index {client_index} out of range for K = {ctx.num_clients}"
+        )
     total = pvops.zeros_like(pv)
     views = [view for _, view in total.entries]
+    sizes = tuple(view.size for view in views)
+    if 0 in sizes:
+        raise ValueError("cannot mask a tensor with no elements")
+    pending = ctx._pending_streams
     for j in range(ctx.num_clients):
         if j == client_index:
             continue
-        key = derive_pair_key(ctx, client_index, j)
+        memo_key = (min(client_index, j), max(client_index, j), sizes)
+        parked = pending.pop(memo_key, None)
+        if parked is None:
+            key = derive_pair_key(ctx, client_index, j)
+            packed = []
         for ordinal, view in enumerate(views):
-            mask = bits_to_mask(key, view.shape, ordinal, ctx.mask_scale)
+            if parked is None:
+                stream = mask_keystream(key, ordinal, view.size)
+                packed.append(np.packbits(stream))
+            else:
+                stream = np.unpackbits(parked[ordinal], count=view.size)
+            mask = signs_from_bits(stream, ctx.mask_scale).reshape(view.shape)
             if client_index < j:
                 view += mask
             else:
                 view -= mask
+        if parked is None:
+            pending[memo_key] = packed
     return total
 
 
@@ -171,12 +206,20 @@ def apply_pairwise_masks(
         raise ValueError("parameters must be finite before masking")
     masked = pvops.add(pv, pair_mask_sum(pv, client_index, ctx))
     return MaskedUpdate(
-        client_index=client_index, round_index=ctx.round_index, params=masked
+        client_index=client_index,
+        round_index=ctx.round_index,
+        params=masked,
+        num_clients=ctx.num_clients,
     )
 
 
 def aggregate(masked: list[MaskedUpdate]) -> ParamVec:
-    """Element-wise mean of masked uploads; pair masks cancel in the sum."""
+    """Element-wise mean of one round's full cohort of masked uploads.
+
+    Pair masks cancel only in the sum of all K uploads, and there is no
+    dropout recovery, so a batch that is not exactly clients 0..K-1 of one
+    K is a ProtocolError rather than a silently wrong mean.
+    """
     if len(masked) < 2:
         raise AggregationShapeError("aggregation needs at least two masked updates")
     rounds = {m.round_index for m in masked}
@@ -185,6 +228,17 @@ def aggregate(masked: list[MaskedUpdate]) -> ParamVec:
     clients = [m.client_index for m in masked]
     if len(set(clients)) != len(clients):
         raise ProtocolError("duplicate client index in aggregation batch")
+    cohort_sizes = {m.num_clients for m in masked}
+    if len(cohort_sizes) != 1:
+        raise ProtocolError(
+            f"masked updates disagree on the cohort size: K in {sorted(cohort_sizes)}"
+        )
+    (k,) = cohort_sizes
+    if sorted(clients) != list(range(k)):
+        raise ProtocolError(
+            f"aggregation needs clients 0..{k - 1} of K = {k}, got {sorted(clients)}: "
+            "the unmatched pair masks would stay in the mean"
+        )
     first = masked[0].params
     for m in masked[1:]:
         if not first.same_structure(m.params):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qkdfl.masking as masking
 import qkdfl.params as pvops
 from qkdfl.bits import sha256_expand_bytes
 from qkdfl.errors import (
@@ -342,7 +343,105 @@ class TestAggregate:
         pv = ParamVec([("a", np.zeros(3))])
         a = apply_pairwise_masks(pv, 0, make_ctx())
         with pytest.raises(ProtocolError):
-            aggregate([a, MaskedUpdate(0, 0, pv.copy())])
+            aggregate([a, MaskedUpdate(0, 0, pv.copy(), num_clients=4)])
+
+    def test_missing_client_rejected(self):
+        # Without client 2's upload, m_02 and m_12 stay in the mean.
+        rng = np.random.default_rng(10)
+        ctx = make_ctx(num_clients=3)
+        batch = self.masked_batch([random_pv(rng) for _ in range(3)], ctx)
+        for dropped in range(3):
+            with pytest.raises(ProtocolError):
+                aggregate(batch[:dropped] + batch[dropped + 1:])
+
+    def test_mixed_cohort_sizes_rejected(self):
+        pv = ParamVec([("a", np.zeros(3))])
+        pair = self.masked_batch([pv, pv], make_ctx(num_clients=2))
+        third = apply_pairwise_masks(pv, 2, make_ctx(num_clients=3))
+        with pytest.raises(ProtocolError):
+            aggregate(pair + [third])
+
+
+class TestPairStreamMemo:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(2, 6),
+        shapes=st.lists(
+            st.lists(st.integers(1, 9), max_size=3).map(tuple), min_size=1, max_size=4
+        ),
+        gamma=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_context_matches_fresh_contexts(self, data, k, shapes, gamma, seed):
+        order = data.draw(st.permutations(range(k)))
+        repeat = data.draw(st.none() | st.integers(0, k - 1))
+        if repeat is not None:
+            order.insert(data.draw(st.integers(0, len(order))), repeat)
+        rng = np.random.default_rng(seed)
+        pvs = [
+            ParamVec([(f"t{n}", rng.standard_normal(s)) for n, s in enumerate(shapes)])
+            for _ in range(k)
+        ]
+        ctx = make_ctx(num_clients=k, seed=seed, mask_scale=gamma)
+        for step, c in enumerate(order):
+            got = apply_pairwise_masks(pvs[c], c, ctx).params
+            fresh = make_ctx(num_clients=k, seed=seed, mask_scale=gamma)
+            ref = apply_pairwise_masks(pvs[c], c, fresh).params
+            assert got.buf.tobytes() == ref.buf.tobytes()
+            if step == 0:
+                parked = dict(ctx._pending_streams)
+                for bad in (-1, k):
+                    with pytest.raises(InvalidPairError):
+                        pair_mask_sum(pvs[0], bad, ctx)
+                assert ctx._pending_streams.keys() == parked.keys()
+        pending = {(lo, hi) for lo, hi, _ in ctx._pending_streams}
+        if repeat is None:
+            assert pending == set()
+        else:
+            # A pair's stream is dropped on its second use, so the repeated
+            # client's pairs are used three times and end up parked again.
+            others = set(range(k)) - {repeat}
+            assert pending == {(min(repeat, j), max(repeat, j)) for j in others}
+
+    def test_streams_are_not_shared_across_layouts(self):
+        # The second end's upload has another layout, so it must expand its own.
+        ctx = make_ctx(num_clients=2)
+        apply_pairwise_masks(ParamVec([("a", np.zeros(3))]), 0, ctx)
+        pv = ParamVec([("a", np.zeros(20))])
+        got = apply_pairwise_masks(pv, 1, ctx).params
+        ref = apply_pairwise_masks(pv, 1, make_ctx(num_clients=2)).params
+        assert got.buf.tobytes() == ref.buf.tobytes()
+
+    def test_each_pair_expanded_once_per_cohort(self, monkeypatch):
+        counts = {"keys": 0, "streams": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            masking, "derive_pair_key", counted("keys", masking.derive_pair_key)
+        )
+        monkeypatch.setattr(
+            masking, "mask_keystream", counted("streams", masking.mask_keystream)
+        )
+        k = 6
+        rng = np.random.default_rng(11)
+        pvs = [mixed_pv(rng) for _ in range(k)]
+        tensors = len(pvs[0].entries)
+        ctx = make_ctx(num_clients=k)
+        for _ in range(2):
+            counts.update(keys=0, streams=0)
+            batch = [apply_pairwise_masks(pv, c, ctx) for c, pv in enumerate(pvs)]
+            assert counts == {
+                "keys": k * (k - 1) // 2,
+                "streams": k * (k - 1) // 2 * tensors,
+            }
+            assert ctx._pending_streams == {}
+            assert pvops.max_abs_diff(aggregate(batch), pvops.mean(pvs)) <= 1e-12
 
 
 class TestParamsMean:
