@@ -20,11 +20,18 @@ import numpy as np
 
 
 def as_bit_array(bits) -> np.ndarray:
-    """Coerce a sequence of 0/1 values to a flat uint8 array, validating range."""
-    arr = np.asarray(bits, dtype=np.uint8).ravel()
-    if arr.size and arr.max() > 1:
+    """A flat uint8 copy or view of `bits`; any value but exactly 0 or 1 is a ValueError."""
+    arr = np.asarray(bits)
+    if arr.dtype.kind in "biu":
+        # Only signed integers can go below 0.
+        valid = arr.size == 0 or (
+            arr.max() <= 1 and (arr.dtype.kind != "i" or arr.min() >= 0)
+        )
+    else:
+        valid = bool(((arr == 0) | (arr == 1)).all())
+    if not valid:
         raise ValueError("bit array contains values other than 0/1")
-    return arr
+    return arr.astype(np.uint8, copy=False).ravel()
 
 
 def pack_bits(bits) -> bytes:

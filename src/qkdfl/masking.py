@@ -12,11 +12,15 @@ Key schedule (test-vector contracts, see tests/golden):
     mask block = SHA-256(pair_key_bytes || LE64(tensor_ordinal) || LE64(block))
 
 Mask bits are consumed MSB-first and mapped 1 -> +gamma, 0 -> -gamma,
-computed exactly as (2 * bit - 1) * gamma in float64.  Folding the tensor
-ordinal into the keystream gives every named tensor an independent stream
-while keeping both ends of a pair bit-identical (both clients walk tensors
-in the same canonical order).  Each tensor's mask lands in its slice of one
-flat buffer, so aggregation and leakage are flat operations.
+exactly (2 * bit - 1) * gamma in float64.  The mapping packs the bits eight
+to a byte and looks each byte up in a 256 x 8 table of those values, built
+once per gamma bit pattern (so -0.0 and +0.0 get their own tables); every
+mask value keeps the formula's bytes, -0.0 at gamma = 0 included.  Folding
+the tensor ordinal into the keystream gives every named tensor an
+independent stream while keeping both ends of a pair bit-identical (both
+clients walk tensors in the same canonical order).  Each tensor's mask lands
+in its slice of one flat buffer, so aggregation and leakage are flat
+operations.
 
 Each pair's keystreams are expanded once per round.  The first end of a pair
 to mask derives the pair key, expands every tensor's stream and parks the
@@ -29,12 +33,15 @@ parameters) and none once all K clients have masked.
 
 from __future__ import annotations
 
+import functools
+import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import params as pvops
-from .bits import le64, pack_bits, sha256_expand_bits
+from .bits import as_bit_array, le64, pack_bits, sha256_expand_bits
 from .errors import (
     AggregationShapeError,
     InvalidPairError,
@@ -64,7 +71,10 @@ class MaskingContext:
     )
 
     def __post_init__(self):
-        seed = np.asarray(self.round_seed, dtype=np.uint8)
+        try:
+            seed = as_bit_array(self.round_seed)
+        except ValueError:
+            raise ValueError("round_seed must hold only 0/1 bits") from None
         object.__setattr__(self, "round_seed", seed)
         if seed.size < MIN_ROUND_SEED_BITS:
             raise ValueError(
@@ -75,8 +85,8 @@ class MaskingContext:
         if self.round_index < 0:
             raise ValueError("round_index must be non-negative")
         # gamma = 0 is allowed as a degenerate diagnostic mode (masks vanish).
-        if self.mask_scale < 0:
-            raise ValueError("mask_scale must be non-negative")
+        if not (math.isfinite(self.mask_scale) and self.mask_scale >= 0):
+            raise ValueError("mask_scale must be finite and non-negative")
         if self.key_bits < 1:
             raise ValueError("key_bits must be >= 1")
 
@@ -105,26 +115,34 @@ def derive_pair_key(ctx: MaskingContext, i: int, j: int) -> np.ndarray:
     return sha256_expand_bits(prefix, ctx.key_bits)
 
 
+@functools.lru_cache(maxsize=8)
+def _sign_table(gamma_bytes: bytes) -> np.ndarray:
+    """Row b holds (2 * bit - 1) * gamma for the 8 bits of byte b, MSB first.
+
+    Read-only, because every later call with the same gamma shares it.
+    """
+    (gamma,) = struct.unpack("<d", gamma_bytes)
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    table = np.multiply(byte_bits, 2.0, dtype=np.float64)
+    table -= 1.0
+    table *= gamma
+    table.flags.writeable = False
+    return table
+
+
 def signs_from_bits(stream_bits: np.ndarray, gamma: float) -> np.ndarray:
     """Map keystream bits to mask values: bit 1 -> +gamma, bit 0 -> -gamma.
 
-    (2 * bit - 1) * gamma is exact in float64, so this equals
+    Each value is (2 * bit - 1) * gamma in float64, looked up a packed byte
+    at a time in a table of exactly those products.  That equals
     np.where(bit == 1, gamma, -gamma) bit for bit, -0.0 at gamma = 0 included.
     """
     bits = np.asarray(stream_bits)
-    if bits.dtype.kind in "biu":
-        # Only signed integers can go below 0.
-        valid = bits.size == 0 or (
-            bits.max() <= 1 and (bits.dtype.kind != "i" or bits.min() >= 0)
-        )
-    else:
-        valid = bool(((bits == 0) | (bits == 1)).all())
-    if not valid:
-        raise ValueError("keystream bits must be 0 or 1")
-    m = np.multiply(bits, 2.0, dtype=np.float64)
-    m -= 1.0
-    m *= gamma
-    return m
+    flat = as_bit_array(bits)
+    # The cache key is gamma's bit pattern: -0.0 == 0.0, but their signs differ.
+    table = _sign_table(struct.pack("<d", gamma))
+    values = table.take(np.packbits(flat), axis=0).ravel()
+    return values[: flat.size].reshape(bits.shape)
 
 
 def mask_keystream(key_bits: np.ndarray, tensor_ordinal: int, num_bits: int) -> np.ndarray:

@@ -136,6 +136,82 @@ class TestBitsToMask:
         assert list(np.signbit(m)) == [True, False]
 
 
+GAMMAS = (0.0, -0.0, 5e-324, 3.7e-5, 1e-3, 1e308)
+
+
+def where_signs(bits, gamma):
+    return np.where(np.asarray(bits) == 1, gamma, -gamma).astype(np.float64)
+
+
+def formula_signs(bits, gamma):
+    return (2.0 * np.asarray(bits, dtype=np.float64) - 1.0) * gamma
+
+
+class TestSignTable:
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_short_lengths_match_where_bytewise(self, dtype, gamma):
+        rng = np.random.default_rng(17)
+        for n in range(18):
+            bits = rng.integers(0, 2, n).astype(dtype)
+            got = signs_from_bits(bits, gamma)
+            ref = where_signs(bits, gamma)
+            assert got.dtype == np.float64
+            assert got.shape == (n,)
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_segnet_length_matches_where_bytewise(self, gamma):
+        # 969,381 = one more than the SegNet parameter count, so n % 8 == 5.
+        bits = np.random.default_rng(5).integers(0, 2, 969_381, dtype=np.uint8)
+        assert signs_from_bits(bits, gamma).tobytes() == where_signs(bits, gamma).tobytes()
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+    @pytest.mark.parametrize("shape", [(), (1, 1), (3, 5), (2, 0), (4, 9)])
+    def test_shapes_are_kept(self, dtype, shape):
+        bits = np.random.default_rng(3).integers(0, 2, shape).astype(dtype)
+        for gamma in GAMMAS:
+            got = signs_from_bits(bits, gamma)
+            ref = where_signs(bits, gamma)
+            assert got.shape == shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_non_contiguous_bits(self):
+        bits = np.random.default_rng(8).integers(0, 2, (6, 10), dtype=np.uint8)[::2, 1::3]
+        got = signs_from_bits(bits, 1e-3)
+        assert got.tobytes() == where_signs(bits, 1e-3).tobytes()
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_gammas_get_their_own_tables(self, first, second):
+        bits = np.array([0, 1, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8)
+        for gamma in (first, second, first):
+            got = signs_from_bits(bits, gamma)
+            assert got.tobytes() == formula_signs(bits, gamma).tobytes()
+            assert got.tobytes() == where_signs(bits, gamma).tobytes()
+        # (2b - 1) * -0.0 flips the sign of both zeros relative to +0.0.
+        plus, minus = signs_from_bits(bits, 0.0), signs_from_bits(bits, -0.0)
+        assert list(np.signbit(plus)) == list(bits == 0)
+        assert list(np.signbit(minus)) == list(bits == 1)
+
+    def test_result_is_writable_and_table_is_not_shared(self):
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        a = signs_from_bits(bits, 0.25)
+        a += 1.0
+        assert signs_from_bits(bits, 0.25).tolist() == [0.25, -0.25, 0.25]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bits=st.lists(st.integers(0, 1), max_size=70),
+        gamma=st.floats(0.0, 1e308) | st.sampled_from([-0.0, 5e-324]),
+        dtype=st.sampled_from([bool, np.uint8, np.int64, np.float64]),
+    )
+    def test_property_matches_where_and_formula(self, bits, gamma, dtype):
+        arr = np.array(bits, dtype=dtype)
+        got = signs_from_bits(arr, gamma)
+        assert got.tobytes() == where_signs(arr, gamma).tobytes()
+        assert got.tobytes() == formula_signs(arr, gamma).tobytes()
+
+
 class TestSha256Expand:
     @settings(max_examples=50, deadline=None)
     @given(prefix=st.binary(max_size=80), num_bytes=st.integers(0, 200))
@@ -498,6 +574,27 @@ class TestMaskingContext:
             MaskingContext(
                 round_seed=np.ones(100, dtype=np.uint8), round_index=0, num_clients=2
             )
+
+    @pytest.mark.parametrize(
+        "seed",
+        [np.full(256, 0.9), np.full(256, 7), np.full(256, -1), np.full(256, np.nan)],
+    )
+    def test_non_bit_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="round_seed"):
+            MaskingContext(round_seed=seed, round_index=0, num_clients=2)
+
+    def test_bit_seed_of_any_dtype_accepted(self):
+        bits = np.random.default_rng(4).integers(0, 2, 256)
+        ref = MaskingContext(round_seed=bits.astype(np.uint8), round_index=0, num_clients=2)
+        for dtype in (bool, np.int64, np.float64):
+            ctx = MaskingContext(round_seed=bits.astype(dtype), round_index=0, num_clients=2)
+            assert ctx.round_seed.dtype == np.uint8
+            assert (derive_pair_key(ctx, 0, 1) == derive_pair_key(ref, 0, 1)).all()
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError):
+            make_ctx(mask_scale=gamma)
 
     def test_single_client_rejected(self):
         with pytest.raises(ValueError):
