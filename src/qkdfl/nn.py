@@ -130,9 +130,13 @@ class Activation:
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
         if self.kind == "selu":
-            return SELU_SCALE * np.where(
-                x > 0, x, SELU_ALPHA * np.expm1(np.minimum(x, 0.0))
-            )
+            # scale * (alpha * expm1(min(x, 0)) + max(x, 0)), in one buffer.
+            out = np.minimum(x, 0.0)
+            np.expm1(out, out=out)
+            out *= SELU_ALPHA
+            out += np.maximum(x, 0.0)
+            out *= SELU_SCALE
+            return out
         if self.kind == "softplus":
             # log(1 + e^x) = max(x, 0) + log1p(e^-|x|), in one buffer.
             out = np.abs(x)

@@ -135,6 +135,20 @@ class TestBitsToMask:
         assert (m == 0.0).all()
         assert list(np.signbit(m)) == [True, False]
 
+    @pytest.mark.parametrize("key", [[0.5, 1.7, 1.0], [256, 257], [0, 2], [-1, 1], [np.nan]])
+    def test_rejects_non_bit_keys(self, key):
+        # A uint8 cast used to turn [0.5, 1.7, 1.0] into [0, 1, 1] and wrap
+        # [256, 257] to [0, 1], giving a mask from the wrong key.
+        with pytest.raises(ValueError):
+            bits_to_mask(np.array(key), (4,), tensor_ordinal=0, gamma=1e-3)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+    def test_accepts_bit_keys_of_any_dtype(self, dtype):
+        key = derive_pair_key(make_ctx(), 0, 1)
+        want = bits_to_mask(key, (9,), 3, 1e-3)
+        got = bits_to_mask(key.astype(dtype), (9,), 3, 1e-3)
+        assert got.tobytes() == want.tobytes()
+
 
 GAMMAS = (0.0, -0.0, 5e-324, 3.7e-5, 1e-3, 1e308)
 
@@ -367,6 +381,67 @@ class TestPairMaskSum:
         for i in range(k):
             total = pvops.add(total, pair_mask_sum(pv, i, ctx))
         assert pvops.max_abs_diff(total, pvops.zeros_like(pv)) <= 1e-12
+
+
+def walk_steps(gamma):
+    return signs_from_bits(np.array([0, 1], dtype=np.uint8), gamma)
+
+
+class TestMaskWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gamma=st.floats(0.0, 1e308) | st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
+        k=st.integers(2, 11),
+        inverts=st.lists(st.booleans(), min_size=10, max_size=10),
+    )
+    def test_every_path_matches_the_running_sum(self, gamma, k, inverts):
+        steps = walk_steps(gamma)
+        num_steps = k - 1
+        paths = np.arange(2**num_steps)
+        rows = [((paths >> (num_steps - 1 - m)) & 1).astype(np.uint8) for m in range(num_steps)]
+        total = np.zeros(paths.size)
+        with np.errstate(over="ignore"):  # gamma = 1e308 sums overflow to +/-inf
+            for row, invert in zip(rows, inverts):
+                total += steps[row ^ invert]
+        directions = zip(rows, inverts[:num_steps])
+        got = masking._walk_sum(directions, paths.size, num_steps, steps)
+        assert got.tobytes() == total.tobytes()
+        # Each path is also the plain float sum of its steps in order.
+        for p in (0, paths.size // 3, paths.size - 1):
+            acc = 0.0
+            for row, invert in zip(rows, inverts):
+                acc += float(steps[row[p] ^ invert])
+            assert np.float64(acc).tobytes() == got[p].tobytes()
+
+    def test_wide_state_dtype_matches_reference_loop(self):
+        # K = 60 at gamma = 0.37 reaches more than 256 sums, so the shifted
+        # state no longer fits in 16 bits.
+        k, gamma = 60, 0.37
+        step_table, _ = masking._mask_walk(walk_steps(gamma).tobytes(), k - 1)
+        assert step_table.dtype == np.uint32
+        ctx = make_ctx(num_clients=k, seed=60, mask_scale=gamma)
+        pv = ParamVec([("a", np.zeros((2, 3))), ("b", np.zeros(1)), ("c", np.zeros(5))])
+        for i in (0, 1, 29, 58, 59):
+            got = pair_mask_sum(pv, i, ctx)
+            ref = reference_pair_mask_sum(pv, i, ctx)
+            assert got.buf.tobytes() == ref.buf.tobytes()
+
+    def test_buffers_longer_than_one_lookup_chunk_match_reference_loop(self):
+        # The state is read from the bytes the float64 result overwrites, so
+        # every chunk of the last lookup must read before it is written over.
+        size = 3 * masking._TAKE_CHUNK + 5
+        for k in (5, 10):
+            ctx = make_ctx(num_clients=k, seed=k, mask_scale=1e-3)
+            pv = ParamVec([("big", np.zeros(size)), ("small", np.zeros((7, 3)))])
+            for i in (0, k // 2, k - 1):
+                got = pair_mask_sum(pv, i, ctx)
+                ref = reference_pair_mask_sum(pv, i, ctx)
+                assert got.buf.tobytes() == ref.buf.tobytes()
+
+    def test_rejects_a_short_direction_list(self):
+        steps = walk_steps(1e-3)
+        with pytest.raises(ValueError):
+            masking._walk_sum([(np.ones(3, dtype=np.uint8), False)], 3, 2, steps)
 
 
 class TestAggregate:

@@ -13,7 +13,7 @@ from qkdfl.models import (
     init_params,
     set_params,
 )
-from qkdfl.nn import Activation, Conv2D, softmax
+from qkdfl.nn import SELU_ALPHA, SELU_SCALE, Activation, Conv2D, softmax
 
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-4
@@ -175,6 +175,28 @@ class TestSoftplus:
         act = Activation("softplus")
         act.forward(x)
         assert np.array_equal(act.backward(dy), dy * expit(x))
+
+
+def where_selu(x):
+    """The select form of SELU that the in-place forward must reproduce."""
+    return SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * np.expm1(np.minimum(x, 0.0)))
+
+
+class TestSelu:
+    def test_forward_matches_where_form_bytewise(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310]
+        x = np.concatenate([np.linspace(-50.0, 50.0, 2_000_001), special])
+        got = Activation("selu").forward(x)
+        assert got.tobytes() == where_selu(x).tobytes()
+
+    def test_forward_keeps_input_and_shape(self):
+        x = np.random.default_rng(4).standard_normal((5, 4, 3, 2)) * 3
+        kept = x.copy()
+        got = Activation("selu").forward(x)
+        assert np.array_equal(x, kept)
+        assert got.shape == x.shape
+        assert got.tobytes() == where_selu(x).tobytes()
 
 
 class TestConvForwardOracle:
