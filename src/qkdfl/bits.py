@@ -22,7 +22,10 @@ import numpy as np
 def as_bit_array(bits) -> np.ndarray:
     """A flat uint8 copy or view of `bits`; any value but exactly 0 or 1 is a ValueError."""
     arr = np.asarray(bits)
-    if arr.dtype.kind in "biu":
+    if arr.dtype == np.bool_:
+        # Bools are bits already; the cast maps every true byte to 1.
+        return arr.astype(np.uint8).ravel()
+    if arr.dtype.kind in "iu":
         # Only signed integers can go below 0.
         valid = arr.size == 0 or (
             arr.max() <= 1 and (arr.dtype.kind != "i" or arr.min() >= 0)

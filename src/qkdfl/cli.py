@@ -4,7 +4,8 @@
     qkdfl report RUN_DIR [--out DIR]
     qkdfl validate CONFIG
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error (a bad config or a bad
+command line), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -18,8 +19,16 @@ from .errors import ConfigError, QkdflError
 from .experiments import ExperimentConfig, report_leakage, run_experiment
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as configuration errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkdfl",
         description="Run and report QKD-secured federated learning experiments.",
     )

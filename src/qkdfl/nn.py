@@ -6,13 +6,17 @@ Convolutions are stride-1 with same padding (odd kernels only), which keeps
 spatial dims equal between input and output at every scale.  A convolution
 is kh accumulated matmuls over the row offsets of one width-only buffer
 holding the kw column shifts side by side; no full im2col matrix is built.
-Softplus is max(x, 0) + log1p(exp(-|x|)), evaluated in one output buffer.
+That buffer is one strided copy out of one zero-filled padded input, and
+a 1x1 kernel uses its input as its rows without any copy, so no layer may
+write into an input it was given.  Softplus is max(x, 0) + log1p(exp(-|x|)),
+evaluated in one output buffer.  The batches are small, so the per-step
+layers and Adam keep to few numpy calls and reuse their buffers with
+`out=`, doing the same float operations in the same order.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 from scipy.stats import truncnorm
 
@@ -36,12 +40,20 @@ def _rowcols(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     Returns an (n, h + 2 * (kh // 2), w, kw * c) array whose last axis is
     ordered (kw, c), matching row i of a (kh, kw, c, cout) kernel reshaped
     to (kh, kw * c, cout); rows i .. i + h - 1 are that row's operand.
+    For a 1x1 kernel that array is `x` itself.
     """
+    if kh == kw == 1:
+        return x
     n, h, w, c = x.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    shifts = sliding_window_view(xp, kw, axis=2).transpose(0, 1, 2, 4, 3)
-    return np.ascontiguousarray(shifts).reshape(n, h + 2 * ph, w, kw * c)
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), x.dtype)
+    xp[:, ph : ph + h, pw : pw + w] = x
+    s0, s1, s2, s3 = xp.strides
+    # shifts[..., j, k, :] is padded column j + k: the kw windows as one view.
+    shifts = np.ndarray((n, h + 2 * ph, w, kw, c), xp.dtype, xp, 0, (s0, s1, s2, s2, s3))
+    rows = np.empty(shifts.shape, x.dtype)
+    np.copyto(rows, shifts)
+    return rows.reshape(n, h + 2 * ph, w, kw * c)
 
 
 def _row_slices(rows: np.ndarray, h: int):
@@ -150,12 +162,16 @@ class Activation:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._x
         if self.kind == "selu":
-            grad = SELU_SCALE * np.where(
-                x > 0, 1.0, SELU_ALPHA * np.exp(np.minimum(x, 0.0))
-            )
-            return dy * grad
+            # dy * (scale * where(x > 0, 1, alpha * exp(min(x, 0)))), in two buffers.
+            g = np.minimum(x, 0.0)
+            np.exp(g, out=g)
+            np.multiply(SELU_ALPHA, g, out=g)
+            g = np.where(x > 0, 1.0, g)
+            np.multiply(SELU_SCALE, g, out=g)
+            return np.multiply(dy, g, out=g)
         if self.kind == "softplus":
-            return dy * expit(x)
+            g = expit(x)
+            return np.multiply(dy, g, out=g)
         return dy * (x > 0)
 
 
@@ -163,26 +179,28 @@ class MaxPool2:
     """2x2 max pooling, stride 2; ties route to the first window position."""
 
     def __init__(self):
-        self._idx = None
+        self._pos = None
         self._xshape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, h, w, c = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
-        xr = (
+        windows = (
             x.reshape(n, h // 2, 2, w // 2, 2, c)
             .transpose(0, 1, 3, 5, 2, 4)
-            .reshape(n, h // 2, w // 2, c, 4)
+            .reshape(-1, 4)
         )
-        self._idx = xr.argmax(axis=-1)
+        # Flat positions of each window's first maximum in `windows`.
+        self._pos = windows.argmax(axis=-1)
+        self._pos += np.arange(0, windows.size, 4)
         self._xshape = x.shape
-        return np.take_along_axis(xr, self._idx[..., None], axis=-1)[..., 0]
+        return windows.ravel().take(self._pos).reshape(n, h // 2, w // 2, c)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         n, h, w, c = self._xshape
-        dxr = np.zeros((n, h // 2, w // 2, c, 4))
-        np.put_along_axis(dxr, self._idx[..., None], dy[..., None], axis=-1)
+        dxr = np.zeros(4 * dy.size)
+        dxr[self._pos] = dy.ravel()
         return (
             dxr.reshape(n, h // 2, w // 2, c, 2, 2)
             .transpose(0, 1, 4, 2, 5, 3)
@@ -197,8 +215,11 @@ class UpsampleNearest2:
         self._xshape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        n, h, w, c = x.shape
         self._xshape = x.shape
-        return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+        out = np.empty((n, h, 2, w, 2, c), x.dtype)
+        out[...] = x[:, :, None, :, None]
+        return out.reshape(n, 2 * h, 2 * w, c)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         n, h, w, c = self._xshape
@@ -225,17 +246,22 @@ def softmax_cross_entropy(
     """Mean per-pixel categorical cross-entropy and its gradient w.r.t. logits.
 
     `logits` has a trailing class axis; `labels` holds integer class ids
-    with the same leading shape.
+    with the same leading shape.  A label outside [0, classes) is a ValueError.
     """
+    classes = logits.shape[-1]
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ValueError(f"labels must be class ids in [0, {classes})")
     z = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - lse
-    picked = np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
-    loss = float(-picked.mean())
-    probs = np.exp(logp)
-    onehot = np.zeros_like(probs)
-    np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
-    return loss, (probs - onehot) / labels.size
+    e = np.exp(z)
+    z -= np.log(e.sum(axis=-1, keepdims=True))  # z is now log-softmax
+    # Flat position of each pixel's label in its class row.
+    at = np.arange(0, z.size, classes) + labels.ravel()
+    loss = float(-z.ravel().take(at).mean())
+    # (softmax - onehot(labels)) / labels.size, with no one-hot array.
+    probs = np.exp(z, out=e).reshape(-1)
+    probs[at] -= 1.0
+    probs /= labels.size
+    return loss, probs.reshape(z.shape)
 
 
 class Adam:
@@ -256,13 +282,24 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        # Scratch for the step's two operands, reused on every step.
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
+        num, den = self._num, self._den
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grads
+        self.m += np.multiply(1.0 - self.beta1, grads, out=num)
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * (grads * grads)
-        params -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        np.multiply(grads, grads, out=num)
+        self.v += np.multiply(1.0 - self.beta2, num, out=num)
+        # params -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(self.m, c1, out=num)
+        np.multiply(self.lr, num, out=num)
+        np.divide(self.v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        params -= np.divide(num, den, out=num)

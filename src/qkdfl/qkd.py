@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import pack_bits, random_bits, sha256_expand_bits
+from .bits import as_bit_array, pack_bits, random_bits, sha256_expand_bits
 from .errors import DegenerateSessionError
 
 logger = logging.getLogger(__name__)
@@ -66,16 +66,19 @@ def final_key_len(pa_ratio: float, sifted_len: int) -> int:
 
 
 def qber_of(alice_bits, bob_bits, sift_mask) -> float:
-    """Mismatch fraction between the two bit strings over the sifted positions."""
-    alice = np.asarray(alice_bits, dtype=np.uint8)
-    bob = np.asarray(bob_bits, dtype=np.uint8)
-    mask = np.asarray(sift_mask, dtype=bool)
+    """Mismatch fraction between the two bit strings over the sifted positions.
+
+    All three inputs must hold only 0/1 (or bools); anything else is a ValueError.
+    """
+    alice, bob, mask = (np.asarray(a) for a in (alice_bits, bob_bits, sift_mask))
     if not (alice.shape == bob.shape == mask.shape):
         raise ValueError("alice_bits, bob_bits and sift_mask must have equal length")
-    n_sift = int(mask.sum())
+    alice, bob = as_bit_array(alice), as_bit_array(bob)
+    mask = as_bit_array(mask).view(bool)  # bool: the fast path of & and count_nonzero
+    n_sift = int(np.count_nonzero(mask))
     if n_sift == 0:
         raise DegenerateSessionError("sift mask selects no positions")
-    return float(np.count_nonzero(alice[mask] != bob[mask])) / n_sift
+    return float(np.count_nonzero((alice != bob) & mask)) / n_sift
 
 
 def privacy_amplify(sifted_bits, final_len: int) -> np.ndarray:
@@ -84,13 +87,14 @@ def privacy_amplify(sifted_bits, final_len: int) -> np.ndarray:
     Layout (test-vector contract): the output is the first
     ceil(final_len/8) bytes of SHA-256(sifted_bytes || LE64(counter)) for
     counter = 0, 1, ..., truncated to final_len bits; sifted_bytes packs
-    the input MSB-first.
+    the input MSB-first.  Sifted values other than 0/1 are a ValueError.
     """
-    sifted = np.asarray(sifted_bits, dtype=np.uint8)
+    sifted = np.asarray(sifted_bits)
     if sifted.size == 0:
         raise ValueError("sifted_bits must be nonempty")
     if final_len < 1:
         raise ValueError("final_len must be >= 1")
+    packed = pack_bits(sifted)  # validates the bits
     if final_len > sifted.size:
         # Possible via the MIN_FINAL_KEY_BITS floor on very short sifted keys;
         # the expansion is not information-theoretically sound in that regime.
@@ -99,7 +103,7 @@ def privacy_amplify(sifted_bits, final_len: int) -> np.ndarray:
             sifted.size,
             final_len,
         )
-    return sha256_expand_bits(pack_bits(sifted), final_len)
+    return sha256_expand_bits(packed, final_len)
 
 
 def run_bb84(cfg: BB84Config) -> QkdSession:

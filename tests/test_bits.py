@@ -16,6 +16,11 @@ class TestAsBitArray:
         assert as_bit_array([]).size == 0
         assert as_bit_array([]).dtype == np.uint8
 
+    def test_bool_bytes_other_than_1_read_as_1(self):
+        # A bool array over raw bytes can hold true bytes other than 0x01.
+        raw = np.frombuffer(b"\x00\x02\x01\xff", dtype=bool)
+        assert as_bit_array(raw).tolist() == [0, 1, 1, 1]
+
     def test_uint8_input_is_not_copied(self):
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
         assert np.shares_memory(as_bit_array(bits), bits)

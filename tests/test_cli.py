@@ -72,6 +72,35 @@ class TestRunVerb:
         assert "config error" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "CFG", "--jobs", "abc"],
+            ["run", "CFG", "--seed", "1.5"],
+            ["frob"],
+            ["run"],
+        ],
+        ids=["non-integer-jobs", "non-integer-seed", "unknown-subcommand", "missing-config"],
+    )
+    def test_usage_error_is_config_error(self, tmp_path, capsys, argv):
+        cfg = write_cfg(tmp_path)
+        argv = [str(cfg) if a == "CFG" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")] if argv[0] == "run" else argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qkdfl") and "error:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qkdfl")
+
+
 class TestReportVerb:
     def test_report_after_run(self, tmp_path):
         cfg = write_cfg(tmp_path, epochs=1)

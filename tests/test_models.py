@@ -13,7 +13,19 @@ from qkdfl.models import (
     init_params,
     set_params,
 )
-from qkdfl.nn import SELU_ALPHA, SELU_SCALE, Activation, Conv2D, softmax
+from qkdfl.nn import (
+    SELU_ALPHA,
+    SELU_SCALE,
+    Activation,
+    Conv2D,
+    MaxPool2,
+    UpsampleNearest2,
+    _row_slices,
+    _rowconv,
+    _rowcols,
+    softmax,
+    softmax_cross_entropy,
+)
 
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-4
@@ -197,6 +209,184 @@ class TestSelu:
         assert np.array_equal(x, kept)
         assert got.shape == x.shape
         assert got.tobytes() == where_selu(x).tobytes()
+
+
+# The earlier forms of the per-batch layer path, kept as byte-for-byte
+# oracles for the rewritten one: every output must have the same bytes.
+
+
+def rowcols_oracle(x, kh, kw):
+    """Same-padded rows via np.pad and sliding_window_view."""
+    n, h, w, c = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    shifts = sliding_window_view(xp, kw, axis=2).transpose(0, 1, 2, 4, 3)
+    return np.ascontiguousarray(shifts).reshape(n, h + 2 * ph, w, kw * c)
+
+
+def conv_oracle(conv, x, dy):
+    """(out, dw, db, dx) of `conv` through the row-offset kernel on oracle rows."""
+    n, h, w, cin = x.shape
+    kh, kw, cout = conv.kh, conv.kw, conv.cout
+    rows = rowcols_oracle(x, kh, kw)
+    out = _rowconv(rows, conv.w.reshape(kh, -1, cout), h)
+    out += conv.b
+    dy3 = dy.reshape(n, h * w, cout)
+    dw = np.empty_like(conv.w)
+    dwk = dw.reshape(kh, -1, cout)
+    for i, op in enumerate(_row_slices(rows, h)):
+        np.matmul(op.transpose(0, 2, 1), dy3).sum(axis=0, out=dwk[i])
+    db = dy.reshape(-1, cout).sum(axis=0)
+    w_t = conv.w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh, -1, cin)
+    dx = _rowconv(rowcols_oracle(dy, kh, kw), w_t, h).reshape(n, h, w, cin)
+    return out.reshape(n, h, w, cout), dw, db, dx
+
+
+def maxpool_oracle(x, dy):
+    """(out, dx) of 2x2 max pooling via take_along_axis and put_along_axis."""
+    n, h, w, c = x.shape
+    xr = (
+        x.reshape(n, h // 2, 2, w // 2, 2, c)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(n, h // 2, w // 2, c, 4)
+    )
+    idx = xr.argmax(axis=-1)
+    out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+    dxr = np.zeros((n, h // 2, w // 2, c, 4))
+    np.put_along_axis(dxr, idx[..., None], dy[..., None], axis=-1)
+    dx = dxr.reshape(n, h // 2, w // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(x.shape)
+    return out, dx
+
+
+def selu_backward_oracle(x, dy):
+    return dy * (SELU_SCALE * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(np.minimum(x, 0.0))))
+
+
+def cross_entropy_oracle(logits, labels):
+    """Loss and gradient through a one-hot array built with put_along_axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    loss = float(-np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0].mean())
+    onehot = np.zeros_like(logp)
+    np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
+    return loss, (np.exp(logp) - onehot) / labels.size
+
+
+def same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+TIED = [-1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]
+
+
+class TestLayersMatchOracleBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([(1, 1), (3, 3), (5, 3), (9, 9)]), n=st.integers(1, 3),
+           h=st.integers(1, 7), w=st.integers(1, 7), cin=st.integers(1, 3),
+           cout=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @example(k=(9, 9), n=1, h=1, w=2, cin=1, cout=1, seed=0)
+    @example(k=(5, 3), n=2, h=2, w=1, cin=2, cout=3, seed=1)
+    @example(k=(1, 1), n=4, h=2, w=2, cin=3, cout=2, seed=2)
+    def test_conv(self, k, n, h, w, cin, cout, seed):
+        kh, kw = k
+        rng = np.random.default_rng(seed)
+        conv = Conv2D("c", kh, kw, cin, cout)
+        conv.w[...] = rng.standard_normal(conv.w.shape)
+        conv.b[...] = rng.standard_normal(cout)
+        x = rng.standard_normal((n, h, w, cin))
+        dy = rng.standard_normal((n, h, w, cout))
+        out, dw, db, dx = conv_oracle(conv, x, dy)
+        assert same_bytes(_rowcols(x, kh, kw), rowcols_oracle(x, kh, kw))
+        assert same_bytes(conv.forward(x), out)
+        assert same_bytes(conv.backward(dy), dx)
+        assert same_bytes(conv.dw, dw) and same_bytes(conv.db, db)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), h2=st.integers(1, 4), w2=st.integers(1, 4),
+           c=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_maxpool_with_tied_windows(self, n, h2, w2, c, seed):
+        rng = np.random.default_rng(seed)
+        # Few distinct values, signed zeros and NaN: most windows hold ties.
+        x = rng.choice(TIED, size=(n, 2 * h2, 2 * w2, c), p=[0.2, 0.2, 0.2, 0.2, 0.1, 0.05, 0.05])
+        dy = rng.standard_normal((n, h2, w2, c))
+        dy[rng.random(dy.shape) < 0.2] = -0.0
+        pool = MaxPool2()
+        out, dx = maxpool_oracle(x, dy)
+        assert same_bytes(pool.forward(x), out)
+        assert same_bytes(pool.backward(dy), dx)
+
+    def test_maxpool_ties_route_to_first_window_position(self):
+        # Windows in (top-left, top-right, bottom-left, bottom-right) order.
+        windows = np.array([[3.0, 3.0, 3.0, 3.0], [1.0, 5.0, 5.0, 2.0],
+                            [0.0, -0.0, 1.0, 1.0], [-0.0, 0.0, -1.0, -0.0]])
+        # Window j is x[0, 0:2, 2j:2j + 2, 0].
+        x = windows.reshape(4, 2, 2).transpose(1, 0, 2).reshape(1, 2, 8, 1)
+        pool = MaxPool2()
+        out = pool.forward(x)
+        assert out.ravel().tolist() == [3.0, 5.0, 1.0, 0.0]
+        assert np.signbit(out.ravel()).tolist() == [False, False, False, True]
+        dx = pool.backward(np.array([7.0, 8.0, 9.0, 10.0]).reshape(out.shape))
+        got = dx.reshape(2, 4, 2).transpose(1, 0, 2).reshape(4, 4)
+        assert got.tolist() == [[7, 0, 0, 0], [0, 8, 0, 0], [0, 0, 9, 0], [10, 0, 0, 0]]
+        assert not np.signbit(dx).any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3), h=st.integers(1, 5), w=st.integers(1, 5),
+           c=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_upsample(self, n, h, w, c, seed):
+        x = np.random.default_rng(seed).standard_normal((n, h, w, c))
+        want = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+        assert same_bytes(UpsampleNearest2().forward(x), want)
+
+    def test_selu_backward_at_special_values(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310,
+                            -800.0, 800.0])
+        x = np.concatenate([np.linspace(-40.0, 40.0, 20_001), special])
+        x, dy = np.meshgrid(x, np.concatenate([[1.0, -0.0, np.inf, np.nan, tiny], x[::997]]))
+        act = Activation("selu")
+        act.forward(x)
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN in both forms
+            assert same_bytes(act.backward(dy), selu_backward_oracle(x, dy))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), h=st.integers(1, 5), classes=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cross_entropy(self, n, h, classes, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((n, h, 3, classes)) * 10
+        labels = rng.integers(0, classes, (n, h, 3))
+        loss, grad = softmax_cross_entropy(logits, labels)
+        want_loss, want_grad = cross_entropy_oracle(logits, labels)
+        assert loss == want_loss
+        assert same_bytes(grad, want_grad)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 255])
+    def test_cross_entropy_rejects_labels_outside_the_classes(self, bad):
+        labels = np.zeros((1, 2, 2), dtype=np.int64)
+        labels[0, 1, 0] = bad
+        with pytest.raises(ValueError, match="class ids"):
+            softmax_cross_entropy(np.zeros((1, 2, 2, 4)), labels)
+
+    def test_1x1_dw_holds_when_its_input_is_reused(self):
+        rng = np.random.default_rng(9)
+        head = Conv2D("head", 1, 1, 4, 3)
+        head.w[...] = rng.standard_normal(head.w.shape)
+        x = rng.standard_normal((2, 4, 4, 4))
+        kept = x.copy()
+        head.forward(x)
+        # The head's rows are `x` itself; feed `x` on through every layer,
+        # as a skip connection would, before the head's backward pass.
+        for layer in (Activation("relu"), Activation("selu"), Activation("softplus"),
+                      MaxPool2(), UpsampleNearest2(), Conv2D("c", 3, 3, 4, 4)):
+            y = layer.forward(x)
+            layer.backward(np.ones_like(y))
+        softmax_cross_entropy(x, rng.integers(0, 4, (2, 4, 4)))
+        dy = rng.standard_normal((2, 4, 4, 3))
+        head.backward(dy)
+        assert np.array_equal(x, kept)
+        _, dw, db, _ = conv_oracle(head, kept, dy)
+        assert same_bytes(head.dw, dw) and same_bytes(head.db, db)
 
 
 class TestConvForwardOracle:

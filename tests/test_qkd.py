@@ -52,10 +52,50 @@ class TestQberOf:
         mask = np.array([False, True, False, True])
         assert qber_of(a, b, mask) == 0.0
 
+    def test_returns_a_python_float(self):
+        # Run CSVs write the value with repr, so a numpy scalar would change them.
+        a = np.array([0, 1, 0, 1], dtype=np.uint8)
+        assert type(qber_of(a, 1 - a, np.ones(4, dtype=bool))) is float
+
     def test_empty_sift_set(self):
         a = np.zeros(4, dtype=np.uint8)
         with pytest.raises(DegenerateSessionError):
             qber_of(a, a, np.zeros(4, dtype=bool))
+
+
+NON_BITS = [
+    [0.5, 1.7, 1.0],
+    [0, 2, 1],
+    [0, -1, 1],
+    [0, 1, np.nan],
+    np.array([0, 255, 1], dtype=np.uint8),
+    np.array([0, 1, -1], dtype=np.int8),
+]
+
+
+class TestNonBitsRejected:
+    @pytest.mark.parametrize("bad", NON_BITS)
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_qber_of(self, bad, position):
+        args = [[0, 1, 1], [0, 1, 1], [1, 1, 1]]
+        args[position] = bad
+        with pytest.raises(ValueError, match="0/1"):
+            qber_of(*args)
+
+    @pytest.mark.parametrize("bad", NON_BITS)
+    def test_privacy_amplify(self, bad):
+        with pytest.raises(ValueError, match="0/1"):
+            privacy_amplify(bad, 8)
+
+    def test_bool_and_integer_bits_agree(self):
+        rng = np.random.default_rng(3)
+        a, b, m = (rng.integers(0, 2, 64, dtype=np.uint8) for _ in range(3))
+        want = qber_of(a, b, m.astype(bool))
+        for dtype in (bool, np.int64, np.float64):
+            assert qber_of(a.astype(dtype), b.astype(dtype), m.astype(dtype)) == want
+        key = privacy_amplify(a, 256)
+        for dtype in (bool, np.int64, np.float64):
+            assert (privacy_amplify(a.astype(dtype), 256) == key).all()
 
 
 class TestPrivacyAmplify:
