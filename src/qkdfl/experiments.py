@@ -451,7 +451,8 @@ def _csv_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        # float(): an np.float64 reprs as "np.float64(...)" under numpy 2.
+        return repr(float(v))
     return str(v)
 
 

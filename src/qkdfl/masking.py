@@ -11,25 +11,22 @@ Key schedule (test-vector contracts, see tests/golden):
                  seed_bytes || LE64(round) || LE64(min(i,j)) || LE64(max(i,j))
     mask block = SHA-256(pair_key_bytes || LE64(tensor_ordinal) || LE64(block))
 
-Mask bits are consumed MSB-first and mapped 1 -> +gamma, 0 -> -gamma,
-exactly (2 * bit - 1) * gamma in float64.  `signs_from_bits` packs the bits
-eight to a byte and looks each byte up in a 256 x 8 table of those values,
-built once per gamma bit pattern (so -0.0 and +0.0 get their own tables).
+Mask bits are consumed MSB-first and mapped 1 -> +gamma, 0 -> -gamma.
 Folding the tensor ordinal into the keystream gives every named tensor an
 independent stream while keeping both ends of a pair bit-identical (both
 clients walk tensors in the same canonical order).
 
-A client's mask sum is a walk, not K - 1 float passes.  Each element of the
-sum is a running float64 sum, from +0.0 in ascending peer order, of K - 1
-terms that are each +gamma or -gamma; subtracting the mask of bit b adds
-exactly the mask of bit 1 - b, so the element follows K - 1 directions
-(b for peers above it, 1 - b for peers below).  From +0.0 those sums reach
-only a few distinct floats (39 at gamma = 1e-3 and K = 20), found once per
-(step bit pattern, K) by a search that makes the same IEEE adds.  Eight
-peers' directions are packed into one byte per element and applied with
-one lookup in a (states x 256) table; the last group's table holds the
-float64 result, so every mask sum keeps the bytes of the running sum.  The
-sum fills one flat buffer, so aggregation and leakage are flat operations.
+A client's mask sum is a signed count times gamma.  Client i adds m_ij for
+j > i and subtracts it for j < i; subtracting the mask of bit b adds the
+mask of bit 1 - b, so each element of the sum is (2c - (K - 1)) * gamma,
+where c counts its +gamma terms: i (one per peer below, before its bits are
+subtracted) plus the bits of the peers above minus the bits of the peers
+below.  Peers come in ascending order, so the count first falls from i by
+at most i and then rises by at most K - 1 - i: it stays in 0..K-1 and fits
+the smallest unsigned integer type that holds K - 1.  It is scaled once,
+with one rounding, and it is the integer that tells which coordinates a
++/-gamma mask leaves unmasked (c == (K - 1) / 2).  The sum fills one flat
+buffer, so aggregation and leakage are flat operations.
 
 Each pair's keystreams are expanded once per round.  The first end of a pair
 to mask derives the pair key, expands every tensor's stream and parks the
@@ -42,10 +39,8 @@ parameters) and none once all K clients have masked.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,34 +120,11 @@ def derive_pair_key(ctx: MaskingContext, i: int, j: int) -> np.ndarray:
     return sha256_expand_bits(prefix, ctx.key_bits)
 
 
-@functools.lru_cache(maxsize=8)
-def _sign_table(gamma_bytes: bytes) -> np.ndarray:
-    """Row b holds (2 * bit - 1) * gamma for the 8 bits of byte b, MSB first.
-
-    Read-only, because every later call with the same gamma shares it.
-    """
-    (gamma,) = struct.unpack("<d", gamma_bytes)
-    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    table = np.multiply(byte_bits, 2.0, dtype=np.float64)
-    table -= 1.0
-    table *= gamma
-    table.flags.writeable = False
-    return table
-
-
 def signs_from_bits(stream_bits: np.ndarray, gamma: float) -> np.ndarray:
-    """Map keystream bits to mask values: bit 1 -> +gamma, bit 0 -> -gamma.
-
-    Each value is (2 * bit - 1) * gamma in float64, looked up a packed byte
-    at a time in a table of exactly those products.  That equals
-    np.where(bit == 1, gamma, -gamma) bit for bit, -0.0 at gamma = 0 included.
-    """
+    """Map keystream bits to mask values: bit 1 -> +gamma, bit 0 -> -gamma."""
     bits = np.asarray(stream_bits)
-    flat = as_bit_array(bits)
-    # The cache key is gamma's bit pattern: -0.0 == 0.0, but their signs differ.
-    table = _sign_table(struct.pack("<d", gamma))
-    values = table.take(np.packbits(flat), axis=0).ravel()
-    return values[: flat.size].reshape(bits.shape)
+    values = np.where(as_bit_array(bits) == 1, np.float64(gamma), -np.float64(gamma))
+    return values.reshape(bits.shape)
 
 
 def mask_keystream(key_bits: np.ndarray, tensor_ordinal: int, num_bits: int) -> np.ndarray:
@@ -178,117 +150,8 @@ def bits_to_mask(
     return signs_from_bits(stream, gamma).reshape(shape)
 
 
-# Elements per np.take call: its intp copy of the index stays in cache.
-_TAKE_CHUNK = 1 << 14
-
-
-@functools.lru_cache(maxsize=8)
-def _mask_walk(steps_bytes: bytes, num_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(8-step transition table, last-group value table) of a +/-gamma walk.
-
-    `steps_bytes` holds the float64 steps for directions 0 and 1.  States are
-    the distinct float64 values that sums of at most `num_steps` steps reach
-    from +0.0, each added in order with the same IEEE adds as a running sum,
-    plus a sink (NaN) for table entries that no walk of `num_steps` steps
-    reads.  Both
-    tables are indexed by (state << 8) | group, where `group` holds up to 8
-    directions, the first in the highest bit: the transition table gives the
-    state after 8 directions, again shifted left by 8, in the smallest
-    unsigned dtype that holds it; the value table gives the float64 value
-    after the last (num_steps - 1) % 8 + 1 directions.  Read-only, because
-    every later call with the same steps and count shares them.
-    """
-    steps = np.frombuffer(steps_bytes).tolist()
-    values = [0.0]  # breadth-first: values[start:] were reached by the last step
-    index = {struct.pack("<d", 0.0): 0}
-    start = 0
-    for _ in range(num_steps):
-        stop = len(values)
-        for value in values[start:stop]:
-            for step in steps:
-                total = value + step
-                key = struct.pack("<d", total)
-                if key not in index:
-                    index[key] = len(values)
-                    values.append(total)
-        start = stop
-    sink = len(values)
-    successor = np.array(
-        [[index.get(struct.pack("<d", v + step), sink) for step in steps] for v in values]
-        + [[sink, sink]]
-    )
-
-    def after(width: int) -> np.ndarray:
-        table = np.full((sink + 1, 256), sink)
-        reached = np.arange(sink + 1)[:, None]
-        for _ in range(width):
-            reached = successor[reached].reshape(sink + 1, -1)
-        table[:, : reached.shape[1]] = reached
-        return table.ravel()
-
-    step_table = np.left_shift(after(8), 8).astype(np.min_scalar_type(256 * sink + 255))
-    value_table = np.array(values + [math.nan]).take(after((num_steps - 1) % 8 + 1))
-    step_table.flags.writeable = False
-    value_table.flags.writeable = False
-    return step_table, value_table
-
-
-def _take(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """out[:] = table[index]; every index is in range by construction.
-
-    Chunks run last to first, and each chunk's index is copied to intp
-    before its output is written, so `index` may lie over the first bytes of
-    `out` (at most 8 bytes per element): the writes only reach indexes
-    already read.
-    """
-    for start in reversed(range(0, index.size, _TAKE_CHUNK)):
-        part = slice(start, start + _TAKE_CHUNK)
-        table.take(index[part].astype(np.intp), out=out[part], mode="clip")
-
-
-def _walk_sum(directions, size: int, num_steps: int, steps: np.ndarray) -> np.ndarray:
-    """Running float64 sums, from +0.0, of steps[d] over `num_steps` direction arrays.
-
-    `directions` yields (bits, invert) pairs: `size` 0/1 uint8 directions,
-    to be flipped when `invert` is true.  Element e ends on the same bytes as
-    `total[e] += steps[d[e]]` taken in order, but each group of 8 directions
-    is gathered into one byte and applied with one table lookup.
-    """
-    step_table, value_table = _mask_walk(steps.tobytes(), num_steps)
-    # The state and the direction byte borrow the result's buffer until the
-    # last lookup overwrites them.
-    total = np.empty(size)
-    raw = total.view(np.uint8)
-    state_bytes = step_table.itemsize * size
-    state = raw[:state_bytes].view(step_table.dtype)
-    group = raw[state_bytes : state_bytes + size]
-    width = flip = 0
-    for taken, (bits, invert) in enumerate(directions, start=1):
-        if width:
-            np.add(group, group, out=group)
-            np.bitwise_or(group, bits, out=group)
-        else:
-            np.copyto(group, bits)
-        flip = 2 * flip + invert
-        width += 1
-        if width < 8 and taken < num_steps:
-            continue
-        if flip:
-            np.bitwise_xor(group, np.uint8(flip), out=group)
-        if taken <= 8:
-            np.copyto(state, group)  # every element starts in state 0
-        else:
-            np.bitwise_or(state, group, out=state)
-        if taken == num_steps:
-            _take(value_table, state, total)
-            return total
-        _take(step_table, state, state)
-        width = flip = 0
-    raise ValueError(f"expected {num_steps} direction arrays")
-
-
 def _pair_directions(ctx: MaskingContext, client_index: int, sizes: tuple[int, ...]):
-    """Each peer's keystream bits, flat, in ascending peer order; inverted for j < i.
+    """Each peer's keystream bits, flat, in ascending peer order, flagged for j < i.
 
     The first end of a pair derives the key, expands each tensor's stream
     into its slice and parks the streams packed on `ctx`; the second end
@@ -321,10 +184,9 @@ def _pair_directions(ctx: MaskingContext, client_index: int, sizes: tuple[int, .
 def pair_mask_sum(pv: ParamVec, client_index: int, ctx: MaskingContext) -> ParamVec:
     """Signed sum of all pair masks for one client, laid out like `pv`.
 
-    Client i adds m_ij for j > i and subtracts it for j < i, in ascending j;
-    the tensor ordinal is the entry's position in canonical order.
-    Subtracting the mask of bit b is adding the mask of bit 1 - b, so the
-    sum is a walk over the two steps signs_from_bits([0, 1], gamma).
+    Client i adds m_ij for j > i and subtracts it for j < i; the tensor
+    ordinal is the entry's position in canonical order.  Each element is
+    (2c - (K - 1)) * gamma, where c counts its +gamma terms.
     """
     if not 0 <= client_index < ctx.num_clients:
         raise InvalidPairError(
@@ -333,13 +195,20 @@ def pair_mask_sum(pv: ParamVec, client_index: int, ctx: MaskingContext) -> Param
     sizes = tuple(math.prod(shape) for _, shape in pv.layout)
     if 0 in sizes:
         raise ValueError("cannot mask a tensor with no elements")
-    steps = signs_from_bits(np.array([0, 1], dtype=np.uint8), ctx.mask_scale)
-    total = _walk_sum(
-        _pair_directions(ctx, client_index, sizes),
-        pv.total_len,
-        ctx.num_clients - 1,
-        steps,
-    )
+    k = ctx.num_clients
+    # Every peer below starts as a +gamma term and loses it where its bit is 1.
+    count = np.full(pv.total_len, client_index, dtype=np.min_scalar_type(k - 1))
+    for bits, below in _pair_directions(ctx, client_index, sizes):
+        if below:
+            np.subtract(count, bits, out=count)
+        else:
+            np.add(count, bits, out=count)
+    (step,) = signs_from_bits(np.ones(1, dtype=np.uint8), ctx.mask_scale)
+    total = count.astype(np.float64)
+    total *= 2.0
+    total -= k - 1
+    total *= step
+    total += 0.0  # at gamma = +/-0.0 some products are -0.0; a running sum gives +0.0
     return ParamVec.from_buffer(pv.layout, total)
 
 

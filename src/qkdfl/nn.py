@@ -233,13 +233,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, (2.0 / diff.size) * diff
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:

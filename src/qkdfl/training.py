@@ -50,12 +50,3 @@ def train_local(
                 )
             opt.step(net.params.buf, grads.buf)
     return get_params(net)
-
-
-def batch_loss(spec: ModelSpec, pv: ParamVec, samples: list) -> float:
-    """Loss of the model on one fixed batch (no update)."""
-    net = build_model(spec)
-    set_params(net, pv)
-    x, y = stack_batch(samples)
-    loss, _ = net.loss_and_grads(x, y)
-    return loss

@@ -11,6 +11,7 @@ from qkdfl.experiments import (
     run_cells,
     run_experiment,
     worker_count,
+    write_csv,
 )
 
 BASE_A = {
@@ -217,6 +218,16 @@ class TestCsvSchemaGolden:
                 "nmse", "accuracy", "miou", "mean_cosine", "mean_pearson",
             ],
         }
+
+    def test_numpy_floats_write_as_plain_floats(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_csv(path, "exp_c_sweep.csv", [{
+            "eta": np.float64(0.05), "mean_qber": np.float64(0.0),
+            "abort_rate": 0.25, "sessions": 4, "qber_threshold": None,
+        }])
+        header, row = path.read_text().splitlines()
+        assert header.split(",") == CSV_SCHEMAS["exp_c_sweep.csv"]
+        assert row.split(",") == ["", "", "0.05", "4", "0.0", "0.25", "", ""]
 
 
 class TestRadarExperiment:

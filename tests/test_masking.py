@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -341,6 +342,39 @@ def mixed_pv(rng):
     )
 
 
+def count_pair_mask_sum(pv, client_index, ctx):
+    """Per-tensor keys, np.where signs, an integer sum and one multiply by gamma."""
+    out = []
+    for ordinal, (name, arr) in enumerate(pv.entries):
+        signed = np.zeros(arr.size, dtype=np.int64)
+        for j in range(ctx.num_clients):
+            if j == client_index:
+                continue
+            key = derive_pair_key(ctx, client_index, j)
+            signs = np.where(mask_keystream(key, ordinal, max(arr.size, 1)) == 1, 1, -1)
+            signed += signs if client_index < j else -signs
+        # + 0.0: at gamma = 0 the running sum is +0.0, never -0.0.
+        out.append((name, (signed * ctx.mask_scale + 0.0).reshape(arr.shape)))
+    return ParamVec(out)
+
+
+def assert_matches_oracles(pv, client_index, ctx):
+    """Bytewise against the count oracle; against the running sum, bytewise at
+    K <= 3 (every partial sum is exact) and within K^2 * gamma * 2^-53 above."""
+    k, gamma = ctx.num_clients, ctx.mask_scale
+    got = pair_mask_sum(pv, client_index, ctx)
+    want = count_pair_mask_sum(pv, client_index, ctx)
+    assert got.names() == want.names()
+    for (_, a), (_, b) in zip(got.entries, want.entries):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    loop = reference_pair_mask_sum(pv, client_index, ctx)
+    if k <= 3:
+        assert got.buf.tobytes() == loop.buf.tobytes()
+    else:
+        assert np.abs(got.buf - loop.buf).max() <= k * k * gamma * 2.0**-53
+
+
 class TestPairMaskSum:
     @pytest.mark.parametrize("k", [2, 3, 7])
     @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.37])
@@ -349,12 +383,38 @@ class TestPairMaskSum:
         ctx = make_ctx(num_clients=k, seed=k, mask_scale=gamma)
         pv = mixed_pv(rng)
         for i in range(k):
-            got = pair_mask_sum(pv, i, ctx)
-            ref = reference_pair_mask_sum(pv, i, ctx)
-            assert got.names() == ref.names()
-            for (_, a), (_, b) in zip(got.entries, ref.entries):
-                assert a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
+            assert_matches_oracles(pv, i, ctx)
+
+    @pytest.mark.parametrize(
+        "k,shapes,clients",
+        [
+            (60, [(2, 3), (1,), (5,)], (0, 1, 29, 58, 59)),
+            # K - 1 = 299 does not fit in a uint8, so the count is a uint16.
+            (300, [(5,)], (0, 1, 150, 298, 299)),
+        ],
+    )
+    def test_large_cohorts_match_count_oracle(self, k, shapes, clients):
+        ctx = make_ctx(num_clients=k, seed=k, mask_scale=0.37)
+        pv = ParamVec([(f"t{n}", np.zeros(shape)) for n, shape in enumerate(shapes)])
+        for i in clients:
+            assert_matches_oracles(pv, i, ctx)
+
+    @pytest.mark.parametrize("k", [3, 4, 10, 11, 20])
+    def test_exact_zero_fraction_of_a_mask_sum(self, k):
+        # A client's mask sum is (2c - (K - 1)) * gamma with c ~ Binomial(K - 1, 1/2),
+        # so it is exactly 0 with probability C(K - 1, (K - 1) / 2) / 2^(K - 1)
+        # at odd K (0.5 at K = 3, 0.246 at K = 11) and never at even K.
+        n = 100_000
+        ctx = make_ctx(num_clients=k, seed=k)
+        pv = ParamVec([("big", np.zeros(n))])
+        for i in (0, k // 2):
+            zero = np.count_nonzero(pair_mask_sum(pv, i, ctx).buf == 0.0) / n
+            if k % 2 == 0:
+                assert zero == 0.0
+                continue
+            p = math.comb(k - 1, (k - 1) // 2) / 2 ** (k - 1)
+            # Five binomial standard deviations: about 0.008 at K = 3.
+            assert abs(zero - p) <= 5 * math.sqrt(p * (1 - p) / n)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**32 - 1), round_index=st.integers(0, 1000))
@@ -381,67 +441,6 @@ class TestPairMaskSum:
         for i in range(k):
             total = pvops.add(total, pair_mask_sum(pv, i, ctx))
         assert pvops.max_abs_diff(total, pvops.zeros_like(pv)) <= 1e-12
-
-
-def walk_steps(gamma):
-    return signs_from_bits(np.array([0, 1], dtype=np.uint8), gamma)
-
-
-class TestMaskWalk:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        gamma=st.floats(0.0, 1e308) | st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
-        k=st.integers(2, 11),
-        inverts=st.lists(st.booleans(), min_size=10, max_size=10),
-    )
-    def test_every_path_matches_the_running_sum(self, gamma, k, inverts):
-        steps = walk_steps(gamma)
-        num_steps = k - 1
-        paths = np.arange(2**num_steps)
-        rows = [((paths >> (num_steps - 1 - m)) & 1).astype(np.uint8) for m in range(num_steps)]
-        total = np.zeros(paths.size)
-        with np.errstate(over="ignore"):  # gamma = 1e308 sums overflow to +/-inf
-            for row, invert in zip(rows, inverts):
-                total += steps[row ^ invert]
-        directions = zip(rows, inverts[:num_steps])
-        got = masking._walk_sum(directions, paths.size, num_steps, steps)
-        assert got.tobytes() == total.tobytes()
-        # Each path is also the plain float sum of its steps in order.
-        for p in (0, paths.size // 3, paths.size - 1):
-            acc = 0.0
-            for row, invert in zip(rows, inverts):
-                acc += float(steps[row[p] ^ invert])
-            assert np.float64(acc).tobytes() == got[p].tobytes()
-
-    def test_wide_state_dtype_matches_reference_loop(self):
-        # K = 60 at gamma = 0.37 reaches more than 256 sums, so the shifted
-        # state no longer fits in 16 bits.
-        k, gamma = 60, 0.37
-        step_table, _ = masking._mask_walk(walk_steps(gamma).tobytes(), k - 1)
-        assert step_table.dtype == np.uint32
-        ctx = make_ctx(num_clients=k, seed=60, mask_scale=gamma)
-        pv = ParamVec([("a", np.zeros((2, 3))), ("b", np.zeros(1)), ("c", np.zeros(5))])
-        for i in (0, 1, 29, 58, 59):
-            got = pair_mask_sum(pv, i, ctx)
-            ref = reference_pair_mask_sum(pv, i, ctx)
-            assert got.buf.tobytes() == ref.buf.tobytes()
-
-    def test_buffers_longer_than_one_lookup_chunk_match_reference_loop(self):
-        # The state is read from the bytes the float64 result overwrites, so
-        # every chunk of the last lookup must read before it is written over.
-        size = 3 * masking._TAKE_CHUNK + 5
-        for k in (5, 10):
-            ctx = make_ctx(num_clients=k, seed=k, mask_scale=1e-3)
-            pv = ParamVec([("big", np.zeros(size)), ("small", np.zeros((7, 3)))])
-            for i in (0, k // 2, k - 1):
-                got = pair_mask_sum(pv, i, ctx)
-                ref = reference_pair_mask_sum(pv, i, ctx)
-                assert got.buf.tobytes() == ref.buf.tobytes()
-
-    def test_rejects_a_short_direction_list(self):
-        steps = walk_steps(1e-3)
-        with pytest.raises(ValueError):
-            masking._walk_sum([(np.ones(3, dtype=np.uint8), False)], 3, 2, steps)
 
 
 class TestAggregate:

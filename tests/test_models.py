@@ -23,9 +23,17 @@ from qkdfl.nn import (
     _row_slices,
     _rowconv,
     _rowcols,
-    softmax,
     softmax_cross_entropy,
 )
+
+
+
+def softmax(logits):
+    """Softmax over the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
 
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-4

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 
-from qkdfl.datasets import gen_channel_dataset, gen_radar_dataset
+from qkdfl.datasets import gen_channel_dataset, gen_radar_dataset, stack_batch
 from qkdfl.errors import DivergenceError
 from qkdfl.metrics import eval_channel, eval_radar
-from qkdfl.models import ModelSpec, init_params
+from qkdfl.models import ModelSpec, build_model, init_params, set_params
 from qkdfl.params import ParamVec
-from qkdfl.training import batch_loss, train_local
+from qkdfl.training import train_local
 
 CHANNEL_SPEC = ModelSpec(task="channel", init_seed=0)
 RADAR_SPEC = ModelSpec(task="radar", init_seed=0)
+
+
+def batch_loss(spec, pv, samples):
+    """Loss of the model on one fixed batch (no update)."""
+    net = build_model(spec)
+    set_params(net, pv)
+    x, y = stack_batch(samples)
+    loss, _ = net.loss_and_grads(x, y)
+    return loss
 
 
 def small_channel_data(n=8, seed=0):
