@@ -38,7 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a JSON experiment config")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    run_p.add_argument(
+        "--jobs", type=int, default=1,
+        help="cell worker processes (default 1); each trains a round's clients on "
+        "its share of the usable cores, and the output is the same for any value",
+    )
 
     rep_p = sub.add_parser("report", help="emit analysis CSVs from a run directory")
     rep_p.add_argument("run_dir", help="directory produced by `qkdfl run`")

@@ -30,7 +30,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +45,7 @@ from .federated import (
     derive_seed,
     partition_non_iid,
     run_training,
+    usable_cores,
 )
 from .models import ModelSpec, TASK_CHANNEL, TASK_RADAR, init_params
 from .qkd import BB84Config, run_bb84
@@ -333,8 +333,9 @@ def _cells(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def _run_cell(args) -> dict[str, list[dict]]:
-    """Run one cell; returns its rows keyed by output file name."""
-    cfg, cell = args
+    """Run one cell with `trainers` concurrent client trainers; returns its
+    rows keyed by output file name."""
+    cfg, cell, trainers = args
     head = {"schema_version": SCHEMA_VERSION, "config_hash": cfg.config_hash()}
 
     if cfg.experiment == "C":
@@ -365,7 +366,8 @@ def _run_cell(args) -> dict[str, list[dict]]:
         train, k, cfg.partition_skew, derive_seed(cfg.seed, _TAG_PARTITION, k)
     )
     _, reports = run_training(
-        init_params(cfg.model_spec()), cfg.rounds, cfg.round_config(k, mode, eve), shards, val
+        init_params(cfg.model_spec()), cfg.rounds, cfg.round_config(k, mode, eve), shards, val,
+        trainers,
     )
     coords = {"clients": k, "mode": mode, "eve": eve}
     if arm is not None:
@@ -416,18 +418,25 @@ def _run_cell(args) -> dict[str, list[dict]]:
 
 def worker_count(jobs: int, cells: int) -> int:
     """Worker processes for `jobs` requested over `cells` cells: never more
-    than there are cells or cores, and at least one."""
-    return max(1, min(jobs, cells, os.cpu_count() or 1))
+    than there are cells or usable cores, and at least one."""
+    return max(1, min(jobs, cells, usable_cores()))
 
 
 def run_cells(cfg: ExperimentConfig, jobs: int = 1) -> dict[str, list[dict]]:
     """Run every cell of the configured experiment, serially or over `jobs`
     worker processes; returns each output file's rows, concatenated in cell
-    order, keyed by file name."""
+    order, keyed by file name.
+
+    Each of the W cell workers trains a round's clients on
+    max(1, cores // W) threads, so processes times threads never exceed the
+    usable cores.  Neither number changes an output byte.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {jobs}")
-    cells = [(cfg, cell) for cell in _cells(cfg)]
-    workers = worker_count(jobs, len(cells))
+    cell_list = _cells(cfg)
+    workers = worker_count(jobs, len(cell_list))
+    trainers = max(1, usable_cores() // workers)
+    cells = [(cfg, cell, trainers) for cell in cell_list]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, cells))

@@ -15,12 +15,25 @@ Aggregation modes:
 All per-round and per-client randomness is derived from one master seed
 through labeled seed paths, so runs are reproducible and the two masked
 modes train identically to plain given the same master seed.
+
+A round's K local trainings are independent, so they run concurrently: the
+calling thread trains clients, and so do `trainers - 1` helper threads
+(`trainers` defaults to the cores this process may run on).  All of them
+take clients from one queue, largest shard first, and store each update
+under its client index; every client trains on its own model and its own
+seeded shuffle, so the round is byte-identical to training the clients
+one after another.  numpy releases the interpreter lock inside its matmul
+and ufunc loops, which is where the trainers overlap.  Masking,
+aggregation, leakage and evaluation stay on the calling thread.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +59,15 @@ STATUS_ABORTED = "ABORTED"
 _TAG_QKD = 1
 _TAG_ROUND_KEY = 2
 _TAG_TRAIN = 3
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one (a `taskset` or cpuset narrows it), else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -146,13 +168,77 @@ def _round_seed_bits(cfg: RoundConfig, session_key: np.ndarray | None) -> np.nda
     return random_bits(prg, 256)
 
 
+def _train_clients(
+    global_params: ParamVec, shards: list[list], cfg: RoundConfig, trainers: int
+) -> list[ParamVec]:
+    """Every client's local update, in client order.
+
+    The calling thread and `min(trainers, K) - 1` helper threads take
+    clients from one queue, largest shard first.  If clients fail, the
+    exception of the lowest-index failing client is raised, as the serial
+    loop would raise it, and no helper thread outlives the call.
+    """
+    if trainers < 1:
+        raise ValueError(f"trainers must be >= 1, got {trainers}")
+    updates: list[ParamVec | None] = [None] * cfg.num_clients
+    failures: list[Exception | None] = [None] * cfg.num_clients
+    pending = collections.deque(
+        sorted(range(cfg.num_clients), key=lambda k: -len(shards[k]))
+    )
+
+    def work() -> None:
+        # Each client's slots are written by the one thread that took it.
+        while True:
+            try:
+                k = pending.popleft()
+            except IndexError:
+                return
+            try:
+                # train_local is looked up at call time, so a wrapper installed
+                # on this module's name sees every client.
+                updates[k] = train_local(
+                    cfg.model,
+                    global_params,
+                    shards[k],
+                    cfg.epochs,
+                    cfg.learning_rate,
+                    cfg.batch_size,
+                    seed=derive_seed(cfg.master_seed, cfg.round_index, _TAG_TRAIN, k),
+                )
+            except Exception as exc:  # re-raised by the caller below
+                failures[k] = exc
+
+    helpers = [
+        threading.Thread(target=work, name=f"qkdfl-trainer-{i}", daemon=True)
+        for i in range(min(trainers, cfg.num_clients) - 1)
+    ]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        pending.clear()  # on an interrupt, helpers stop after their client
+        for t in helpers:
+            t.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
+    return updates
+
+
 def run_round(
     global_params: ParamVec,
     shards: list[list],
     cfg: RoundConfig,
     val_data: list | None = None,
+    trainers: int | None = None,
 ) -> tuple[ParamVec, RoundReport]:
-    """Execute one federated round; returns (new global params, report)."""
+    """Execute one federated round; returns (new global params, report).
+
+    `trainers` bounds how many clients train at once (the calling thread
+    plus `trainers - 1` helpers); None means `usable_cores()`.  It changes
+    no output byte.
+    """
     if len(shards) != cfg.num_clients:
         raise ValueError(
             f"expected {cfg.num_clients} shards, got {len(shards)}"
@@ -184,18 +270,9 @@ def run_round(
             return global_params, report
         session_key = session.key
 
-    updates = [
-        train_local(
-            cfg.model,
-            global_params,
-            shards[k],
-            cfg.epochs,
-            cfg.learning_rate,
-            cfg.batch_size,
-            seed=derive_seed(cfg.master_seed, cfg.round_index, _TAG_TRAIN, k),
-        )
-        for k in range(cfg.num_clients)
-    ]
+    updates = _train_clients(
+        global_params, shards, cfg, usable_cores() if trainers is None else trainers
+    )
 
     if cfg.mode in MASKED_MODES:
         ctx = MaskingContext(
@@ -248,6 +325,7 @@ def run_training(
     cfg: RoundConfig,
     shards: list[list],
     val_data: list | None = None,
+    trainers: int | None = None,
 ) -> tuple[ParamVec, list[RoundReport]]:
     """Fold run_round over `num_rounds` rounds starting from `initial`."""
     if num_rounds < 1:
@@ -256,7 +334,7 @@ def run_training(
     reports = []
     for r in range(num_rounds):
         round_cfg = dataclasses.replace(cfg, round_index=r)
-        current, report = run_round(current, shards, round_cfg, val_data)
+        current, report = run_round(current, shards, round_cfg, val_data, trainers)
         reports.append(report)
     return current, reports
 

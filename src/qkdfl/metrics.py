@@ -17,7 +17,10 @@ from .params import ParamVec
 
 NMSE_EPS = 1e-12
 
-_EVAL_CHUNK = 32
+# Samples per evaluation forward pass.  Every layer computes each sample on
+# its own, so the chunk size changes no prediction byte; a small chunk keeps
+# the activations, and so the peak memory, small.
+_EVAL_CHUNK = 4
 
 
 def nmse(pred: np.ndarray, target: np.ndarray) -> float:

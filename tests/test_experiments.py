@@ -13,6 +13,7 @@ from qkdfl.experiments import (
     worker_count,
     write_csv,
 )
+from qkdfl.federated import usable_cores
 
 BASE_A = {
     "experiment": "A",
@@ -314,14 +315,34 @@ class TestRunDirectory:
             ).read_bytes(), f"{name} differs between --jobs 1 and --jobs 2"
 
 
+def _cell_trainers(args):
+    """Stands in for a cell run: reports the client trainers the cell was given."""
+    return {"trainers": [args[2]]}
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize(
         "jobs,cells,cores,expect",
         [(1, 6, 4, 1), (3, 6, 4, 3), (8, 6, 4, 4), (8, 2, 4, 2), (8, 0, 4, 1), (8, 6, None, 1)],
     )
     def test_bounded_by_cells_and_cores(self, monkeypatch, jobs, cells, cores, expect):
-        monkeypatch.setattr("qkdfl.experiments.os.cpu_count", lambda: cores)
+        # The CPU-count fallback, on a platform that reports no affinity.
+        monkeypatch.delattr("qkdfl.federated.os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("qkdfl.federated.os.cpu_count", lambda: cores)
         assert worker_count(jobs, cells) == expect
+
+    def test_cores_follow_affinity_not_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("qkdfl.federated.os.sched_getaffinity", lambda pid: {3})
+        monkeypatch.setattr("qkdfl.federated.os.cpu_count", lambda: 8)
+        assert usable_cores() == 1
+        assert worker_count(8, 6) == 1
+
+    @pytest.mark.parametrize("jobs,trainers", [(1, 4), (2, 2), (3, 1)])
+    def test_workers_share_the_cores(self, monkeypatch, jobs, trainers):
+        monkeypatch.setattr("qkdfl.federated.os.sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr("qkdfl.experiments._run_cell", _cell_trainers)
+        tables = run_cells(make_cfg(clients=[2, 3, 10]), jobs)
+        assert tables["trainers"] == [trainers] * 6
 
     def test_jobs_below_one_rejected_before_output(self, tmp_path):
         with pytest.raises(ConfigError, match="jobs"):

@@ -1,8 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import qkdfl.params as pvops
+from qkdfl import federated
 from qkdfl.datasets import gen_channel_dataset, gen_radar_dataset
+from qkdfl.errors import DivergenceError
 from qkdfl.federated import (
     MODES,
     STATUS_ABORTED,
@@ -237,3 +242,84 @@ class TestRoundConfigValidation:
             make_cfg("plain", qber_threshold=0.0)
         with pytest.raises(ValueError):
             make_cfg("plain", qber_threshold=1.0)
+
+
+def uneven_setup(task, num_clients):
+    """Shards of visibly different sizes, plus a validation set."""
+    if task == "channel":
+        train = gen_channel_dataset(4 * num_clients, snr_db=10.0, dims=(16, 14), seed=0)
+        val = gen_channel_dataset(4, snr_db=10.0, dims=(16, 14), seed=1)
+    else:
+        train = gen_radar_dataset(3 * num_clients, size=16, seed=0)
+        val = gen_radar_dataset(4, size=16, seed=1)
+    shards = partition_non_iid(train, num_clients, skew=0.5, seed=2)
+    assert len({len(s) for s in shards}) > 1
+    return shards, val
+
+
+class TestConcurrentClients:
+    """A round's clients train on several threads with the serial loop's output."""
+
+    @pytest.mark.parametrize("task,num_clients", [("channel", 3), ("channel", 10), ("radar", 3)])
+    def test_threaded_round_matches_serial(self, task, num_clients):
+        spec = ModelSpec(task=task, init_seed=0)
+        shards, val = uneven_setup(task, num_clients)
+        cfg = make_cfg("qkd_sa", num_clients=num_clients, model=spec, batch_size=4)
+        pv = init_params(spec)
+        serial, serial_report = run_round(pv, shards, cfg, val, trainers=1)
+        # More trainers than clients or cores, and a short switch interval,
+        # so the threads interleave as often as the interpreter allows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded, threaded_report = run_round(pv, shards, cfg, val, trainers=num_clients + 2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.layout == serial.layout
+        assert threaded.buf.tobytes() == serial.buf.tobytes()
+        assert threaded_report.to_json_dict() == serial_report.to_json_dict()
+
+    def test_default_trainers_match_serial(self):
+        shards, val = uneven_setup("channel", 3)
+        pv = init_params(CHANNEL_SPEC)
+        serial, _ = run_training(pv, 2, make_cfg("plain"), shards, val, trainers=1)
+        default, _ = run_training(pv, 2, make_cfg("plain"), shards, val)
+        assert default.buf.tobytes() == serial.buf.tobytes()
+
+    def test_trainers_below_one_rejected(self):
+        shards, _ = channel_setup()
+        with pytest.raises(ValueError, match="trainers"):
+            run_round(init_params(CHANNEL_SPEC), shards, make_cfg("plain"), trainers=0)
+
+    @staticmethod
+    def failing_round(monkeypatch, trainers):
+        """A 6-client round in which clients 2 and 4 diverge.
+
+        Client 4 has the largest shard, so a trainer takes it first and its
+        failure is known before client 2's.
+        """
+        train = gen_channel_dataset(18, snr_db=10.0, dims=(16, 14), seed=0)
+        shards = [train[0:2], train[2:4], train[4:6], train[6:8], train[8:16], train[16:18]]
+        failing = {id(shards[2]): 2, id(shards[4]): 4}
+        real = federated.train_local
+
+        def train_local(spec, pv, shard, *args, **kwargs):
+            if id(shard) in failing:
+                raise DivergenceError(f"client {failing[id(shard)]}")
+            return real(spec, pv, shard, *args, **kwargs)
+
+        monkeypatch.setattr(federated, "train_local", train_local)
+        cfg = make_cfg("qkd_sa", num_clients=6)
+        return lambda: run_round(init_params(CHANNEL_SPEC), shards, cfg, trainers=trainers)
+
+    @pytest.mark.parametrize("trainers", [1, 2, 6])
+    def test_lowest_failing_client_raised(self, monkeypatch, trainers):
+        with pytest.raises(DivergenceError, match="client 2"):
+            self.failing_round(monkeypatch, trainers)()
+
+    def test_no_thread_left_after_failure(self, monkeypatch):
+        baseline = threading.active_count()
+        with pytest.raises(DivergenceError):
+            self.failing_round(monkeypatch, 6)()
+        assert threading.active_count() == baseline
+        assert not [t for t in threading.enumerate() if t.name.startswith("qkdfl-trainer")]

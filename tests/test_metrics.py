@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from qkdfl import metrics
+from qkdfl.datasets import gen_channel_dataset, gen_radar_dataset
 from qkdfl.metrics import NMSE_EPS, mean_iou, nmse, pixel_accuracy
+from qkdfl.models import ModelSpec, build_model, init_params, set_params
 
 
 class TestNmse:
@@ -65,3 +68,23 @@ class TestSegmentationMetrics:
             pixel_accuracy(empty, empty)
         with pytest.raises(ValueError):
             mean_iou(empty, empty)
+
+
+class TestEvalChunks:
+    @pytest.mark.parametrize("task", ["channel", "radar"])
+    def test_predictions_identical_across_chunk_sizes(self, monkeypatch, task):
+        # The shipped configs' validation shapes: 32 channel, 16 radar samples.
+        if task == "channel":
+            samples = gen_channel_dataset(32, snr_db=10.0, dims=(48, 14), seed=5)
+        else:
+            samples = gen_radar_dataset(16, size=32, seed=5)
+        spec = ModelSpec(task=task, init_seed=3)
+        net = build_model(spec)
+        set_params(net, init_params(spec))
+        preds = {}
+        for chunk in (32, 4, 3, 1):
+            monkeypatch.setattr(metrics, "_EVAL_CHUNK", chunk)
+            preds[chunk] = np.concatenate(metrics._predict_chunks(net, samples)).tobytes()
+        assert preds[4] == preds[32]
+        assert preds[3] == preds[32]
+        assert preds[1] == preds[32]
