@@ -268,22 +268,28 @@ def aggregate(masked: list[MaskedUpdate]) -> ParamVec:
     return pvops.mean([m.params for m in ordered])
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two 1-D arrays without BLAS, whose threaded dot sums in
+    an order that follows the thread count (and so the CPU affinity)."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def leakage_proxies(true_delta: ParamVec, masked_delta: ParamVec) -> tuple[float, float]:
     """(cosine similarity, Pearson correlation) between the flattened deltas."""
     if not true_delta.same_structure(masked_delta):
         raise ValueError("deltas are structurally incompatible")
     a = true_delta.flat()
     b = masked_delta.flat()
-    na2 = float(a @ a)
-    nb2 = float(b @ b)
+    na2 = _dot(a, a)
+    nb2 = _dot(b, b)
     if na2 == 0.0 or nb2 == 0.0:
         raise UndefinedProxyError("leakage proxies are undefined for zero-norm deltas")
-    cosine = float(a @ b) / float(np.sqrt(na2 * nb2))
+    cosine = _dot(a, b) / float(np.sqrt(na2 * nb2))
     ac = a - a.mean()
     bc = b - b.mean()
-    va = float(ac @ ac)
-    vb = float(bc @ bc)
+    va = _dot(ac, ac)
+    vb = _dot(bc, bc)
     if va == 0.0 or vb == 0.0:
         raise UndefinedProxyError("Pearson correlation is undefined for constant deltas")
-    pearson = float(ac @ bc) / float(np.sqrt(va * vb))
+    pearson = _dot(ac, bc) / float(np.sqrt(va * vb))
     return cosine, pearson

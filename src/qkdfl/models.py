@@ -61,9 +61,12 @@ class _ConvNet:
         self.params = ParamVec(
             [(f"{c.name}.{p}", a) for c in convs for p, a in (("w", c.w), ("b", c.b))]
         )
-        self.grads = zeros_like(self.params)
+        # Re-point each buffer's views as soon as it exists, so the convs'
+        # own arrays are freed before the next buffer is allocated.
         for k, conv in enumerate(convs):
             (_, conv.w), (_, conv.b) = self.params.entries[2 * k : 2 * k + 2]
+        self.grads = zeros_like(self.params)
+        for k, conv in enumerate(convs):
             (_, conv.dw), (_, conv.db) = self.grads.entries[2 * k : 2 * k + 2]
 
 

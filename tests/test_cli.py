@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qkdfl
 from qkdfl.cli import main
 
 BASE = {
@@ -24,6 +29,21 @@ def write_cfg(tmp_path, **overrides):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(raw))
     return p
+
+
+class TestRuntimeImports:
+    def test_importing_the_package_loads_no_scipy(self):
+        src = str(Path(qkdfl.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, qkdfl, qkdfl.experiments, qkdfl.federated, qkdfl.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestRunVerb:

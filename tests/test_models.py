@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import convolve2d, correlate2d
 from scipy.special import expit
+from scipy.stats import truncnorm
 
 from qkdfl.models import (
     ModelSpec,
@@ -24,6 +29,7 @@ from qkdfl.nn import (
     _rowconv,
     _rowcols,
     softmax_cross_entropy,
+    truncated_normal_init,
 )
 
 
@@ -188,13 +194,88 @@ class TestSoftplus:
         Activation("softplus").forward(x)
         assert np.array_equal(x, kept)
 
-    def test_backward_is_sigmoid(self):
+    def test_backward_matches_logistic_oracle_bytes(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 5, 4, 3)) * 10
+        x.flat[:3] = (-800.0, 800.0, 0.0)
         dy = rng.standard_normal(x.shape)
         act = Activation("softplus")
         act.forward(x)
-        assert np.array_equal(act.backward(dy), dy * expit(x))
+        assert same_bytes(act.backward(dy), dy * logistic_oracle(x))
+
+    def test_logistic_within_four_ulp_of_expit(self):
+        x = np.linspace(-50.0, 50.0, 2_000_001)
+        act = Activation("softplus")
+        act.forward(x)
+        got = act.backward(np.ones_like(x))
+        want = expit(x)
+        assert (want > 0).all() and (got > 0).all()
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 4
+
+    def test_backward_exact_at_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        act = Activation("softplus")
+        act.forward(x)
+        got = act.backward(np.ones_like(x))
+        assert np.array_equal(got[:4], [0.5, 0.5, 1.0, 0.0])
+        assert not np.signbit(got[:4]).any()
+        assert np.isnan(got[4])
+
+    def test_backward_emits_no_warning_where_exp_overflows(self):
+        act = Activation("softplus")
+        act.forward(np.array([-800.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = act.backward(np.ones(1))
+        assert got[0] == 0.0
+
+
+def logistic_oracle(x):
+    """The logistic as the softplus backward must compute it, 1 / (1 + e^-x)."""
+    with np.errstate(over="ignore"):
+        e = np.exp(-x)
+    return 1.0 / (1.0 + e)
+
+
+# Variance of a standard normal truncated at +-2: 1 - 4 phi(2) / (2 Phi(2) - 1).
+TRUNC2_VAR = 1.0 - 4.0 * math.exp(-2.0) / math.sqrt(2.0 * math.pi) / math.erf(math.sqrt(2.0))
+
+
+class TestTruncatedNormalInit:
+    def test_within_two_scaled_stddevs(self):
+        for shape, fan_in in (((3, 3, 64, 128), 576), ((9, 9, 1, 12), 81), ((50_000,), 1)):
+            w = truncated_normal_init(np.random.default_rng(1), shape, fan_in)
+            assert w.shape == shape and w.dtype == np.float64
+            assert np.abs(w).max() <= 2.0 * np.sqrt(1.0 / fan_in)
+
+    def test_same_seed_same_bytes(self):
+        a = truncated_normal_init(np.random.default_rng(5), (3, 3, 8, 16), 72)
+        b = truncated_normal_init(np.random.default_rng(5), (3, 3, 8, 16), 72)
+        c = truncated_normal_init(np.random.default_rng(6), (3, 3, 8, 16), 72)
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() != c.tobytes()
+
+    def test_moments_and_ks_distance(self):
+        n = 100_000
+        z = np.sort(truncated_normal_init(np.random.default_rng(13), (n,), 1))
+        assert abs(z.mean()) < 0.015
+        assert abs(z.var() - TRUNC2_VAR) < 0.015
+        cdf = truncnorm(-2.0, 2.0).cdf(z)
+        ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        # The Kolmogorov-Smirnov critical value at a 0.001 significance level.
+        assert ks < 1.95 / math.sqrt(n)
+
+    def test_segnet_init_peak_memory(self):
+        spec = ModelSpec(task="radar", encoder_filters=(32, 64, 128), bottleneck_filters=256)
+        tracemalloc.start()
+        try:
+            pv = init_params(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pv.buf.size == 969_380
+        assert peak <= 4 * pv.buf.nbytes
 
 
 def where_selu(x):
