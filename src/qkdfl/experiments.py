@@ -527,29 +527,54 @@ def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
     return manifest
 
 
+# The fields of a rounds.jsonl line that the leakage report reads.
+_ROUND_KEYS = (
+    "status", "round", "qber", "utility", "leakage_mean_cosine", "leakage_mean_pearson"
+)
+
+
+def _json_object(data: bytes, where: str, required: tuple[str, ...]) -> dict:
+    """`data` as a JSON object holding the `required` keys; else a ConfigError
+    that names `where`."""
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ConfigError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"{where}: missing {', '.join(missing)}")
+    return obj
+
+
 def report_leakage(run_dir, out_dir=None) -> list[dict]:
     """Per-round leakage table from a finished run's JSON-lines reports.
 
     Rows cover SECURE rounds only; emits a header-only CSV with a warning
-    when the run has none.
+    when the run has none.  A damaged manifest or round line is a
+    ConfigError that names its file.
     """
     run = Path(run_dir)
     manifest_path = run / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"{run}: not a run directory (missing manifest.json)")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _json_object(manifest_path.read_bytes(), str(manifest_path), ("config_hash",))
     rounds_path = run / "rounds.jsonl"
-    rounds = []
-    if rounds_path.exists():
-        with open(rounds_path) as fh:
-            rounds = [json.loads(line) for line in fh if line.strip()]
+    lines = rounds_path.read_bytes().splitlines() if rounds_path.exists() else []
 
     rows = []
-    for d in rounds:
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        where = f"{rounds_path}:{lineno}"
+        d = _json_object(line, where, _ROUND_KEYS)
         if d["status"] != STATUS_SECURE:
             continue
-        util = _utility_columns(d["utility"])
         cell = d.get("cell", {})
+        if not (isinstance(d["utility"], dict) and isinstance(cell, dict)):
+            raise ConfigError(f"{where}: utility and cell must be JSON objects")
+        util = _utility_columns(d["utility"])
         cell_label = ",".join(f"{k}={cell[k]}" for k in sorted(cell))
         rows.append({
             "schema_version": SCHEMA_VERSION,

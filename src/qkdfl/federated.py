@@ -244,8 +244,8 @@ def run_round(
             f"expected {cfg.num_clients} shards, got {len(shards)}"
         )
 
-    qber = sifted_len = final_len = None
-    session_key = None
+    qber = sifted_len = final_len = session_key = None
+    status = STATUS_SECURE
     if cfg.mode == "qkd_sa":
         bb84 = dataclasses.replace(
             cfg.bb84,
@@ -253,60 +253,48 @@ def run_round(
         )
         session = run_bb84(bb84)
         qber, sifted_len, final_len = session.qber, session.sifted_len, session.final_len
-        if session.qber >= cfg.qber_threshold:
-            report = RoundReport(
-                round_index=cfg.round_index,
-                mode=cfg.mode,
-                status=STATUS_ABORTED,
-                qber=qber,
-                sifted_len=sifted_len,
-                final_len=final_len,
-                utility=_evaluate(cfg, global_params, val_data),
-                recon_error=None,
-                leakage=[],
-                bytes_down=0,
-                bytes_up=0,
-            )
-            return global_params, report
         session_key = session.key
+        if session.qber >= cfg.qber_threshold:
+            status = STATUS_ABORTED
 
-    updates = _train_clients(
-        global_params, shards, cfg, usable_cores() if trainers is None else trainers
-    )
-
-    if cfg.mode in MASKED_MODES:
-        ctx = MaskingContext(
-            round_seed=_round_seed_bits(cfg, session_key),
-            round_index=cfg.round_index,
-            num_clients=cfg.num_clients,
-            mask_scale=cfg.mask_scale,
-            key_bits=cfg.key_bits,
+    # An aborted round keeps the global model and moves no bytes.
+    new_global, recon_error, leakage, nbytes = global_params, None, [], 0
+    if status == STATUS_SECURE:
+        updates = _train_clients(
+            global_params, shards, cfg, usable_cores() if trainers is None else trainers
         )
-        masked = [
-            apply_pairwise_masks(updates[k], k, ctx) for k in range(cfg.num_clients)
-        ]
-        uploads = [m.params for m in masked]
-        new_global = aggregate(masked)
-        recon_error = pvops.max_abs_diff(pvops.mean(updates), new_global)
-    else:
-        uploads = updates
-        new_global = pvops.mean(updates)
-        recon_error = 0.0
+        if cfg.mode in MASKED_MODES:
+            ctx = MaskingContext(
+                round_seed=_round_seed_bits(cfg, session_key),
+                round_index=cfg.round_index,
+                num_clients=cfg.num_clients,
+                mask_scale=cfg.mask_scale,
+                key_bits=cfg.key_bits,
+            )
+            masked = [
+                apply_pairwise_masks(updates[k], k, ctx) for k in range(cfg.num_clients)
+            ]
+            uploads = [m.params for m in masked]
+            new_global = aggregate(masked)
+            recon_error = pvops.max_abs_diff(pvops.mean(updates), new_global)
+        else:
+            uploads = updates
+            new_global = pvops.mean(updates)
+            recon_error = 0.0
 
-    leakage = []
-    for k in range(cfg.num_clients):
-        true_delta = pvops.sub(updates[k], global_params)
-        masked_delta = pvops.sub(uploads[k], global_params)
-        try:
-            leakage.append(leakage_proxies(true_delta, masked_delta))
-        except UndefinedProxyError:
-            leakage.append((None, None))
+        for k in range(cfg.num_clients):
+            true_delta = pvops.sub(updates[k], global_params)
+            masked_delta = pvops.sub(uploads[k], global_params)
+            try:
+                leakage.append(leakage_proxies(true_delta, masked_delta))
+            except UndefinedProxyError:
+                leakage.append((None, None))
+        nbytes = global_params.nbytes_serialized
 
-    nbytes = global_params.nbytes_serialized
     report = RoundReport(
         round_index=cfg.round_index,
         mode=cfg.mode,
-        status=STATUS_SECURE,
+        status=status,
         qber=qber,
         sifted_len=sifted_len,
         final_len=final_len,
@@ -348,7 +336,7 @@ def _default_skew_feature(sample, index: int) -> float:
 
 
 def partition_non_iid(
-    dataset: list, num_clients: int, skew: float, seed: int, feature=None
+    dataset: list, num_clients: int, skew: float, seed: int
 ) -> list[list]:
     """Split a dataset into disjoint, covering, feature-skewed shards.
 
@@ -379,8 +367,7 @@ def partition_non_iid(
         sizes[np.argmax(sizes)] -= 1
         sizes[np.argmin(sizes)] += 1
 
-    key = feature or _default_skew_feature
-    feats = np.array([key(s, i) for i, s in enumerate(dataset)])
+    feats = np.array([_default_skew_feature(s, i) for i, s in enumerate(dataset)])
     sorted_idx = np.argsort(feats, kind="stable")
 
     shards = []

@@ -28,13 +28,13 @@ with one rounding, and it is the integer that tells which coordinates a
 +/-gamma mask leaves unmasked (c == (K - 1) / 2).  The sum fills one flat
 buffer, so aggregation and leakage are flat operations.
 
-Each pair's keystreams are expanded once per round.  The first end of a pair
-to mask derives the pair key, expands every tensor's stream and parks the
-streams bit-packed on the round's MaskingContext; the other end pops them
-and unpacks them instead of hashing.  A stream is dropped on its second use,
-so a context holds at most about (K/2)^2 pairs' packed streams mid-round
-(one bit per parameter each: 100 x 121 KB for K = 20 and 969,380
-parameters) and none once all K clients have masked.
+Each pair's keystream is expanded once per round.  The first end of a pair
+to mask derives the pair key, expands every tensor's stream into one flat
+buffer and parks it on the round's MaskingContext as one packed stream per
+pair; the other end pops it and unpacks it instead of hashing.  A stream is
+dropped on its second use, so a context holds at most about (K/2)^2 pairs'
+packed streams mid-round (one bit per parameter each: 100 x 121 KB for
+K = 20 and 969,380 parameters) and none once all K clients have masked.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class MaskingContext:
     num_clients: int
     mask_scale: float = DEFAULT_MASK_SCALE
     key_bits: int = DEFAULT_PAIR_KEY_BITS
-    # (lo, hi, tensor sizes) -> the pair's packed per-tensor keystreams, parked
-    # by the first end of the pair to mask and popped by the second.
+    # (lo, hi, tensor sizes) -> the pair's whole keystream, packed, parked by
+    # the first end of the pair to mask and popped by the second.
     _pending_streams: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -150,43 +150,14 @@ def bits_to_mask(
     return signs_from_bits(stream, gamma).reshape(shape)
 
 
-def _pair_directions(ctx: MaskingContext, client_index: int, sizes: tuple[int, ...]):
-    """Each peer's keystream bits, flat, in ascending peer order, flagged for j < i.
-
-    The first end of a pair derives the key, expands each tensor's stream
-    into its slice and parks the streams packed on `ctx`; the second end
-    pops them and unpacks each into its slice.  Every peer's bits land in
-    one buffer, which the caller reads before it asks for the next peer.
-    """
-    bounds = list(itertools.accumulate(sizes, initial=0))
-    parts = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-    pending = ctx._pending_streams
-    bits = np.empty(bounds[-1], dtype=np.uint8)
-    for j in range(ctx.num_clients):
-        if j == client_index:
-            continue
-        memo_key = (min(client_index, j), max(client_index, j), sizes)
-        parked = pending.pop(memo_key, None)
-        if parked is None:
-            key = derive_pair_key(ctx, client_index, j)
-            packed = []
-            for ordinal, part in enumerate(parts):
-                stream = mask_keystream(key, ordinal, part.stop - part.start)
-                bits[part] = stream
-                packed.append(np.packbits(stream))
-            pending[memo_key] = packed
-        else:
-            for part, stream in zip(parts, parked):
-                bits[part] = np.unpackbits(stream, count=part.stop - part.start)
-        yield bits, j < client_index
-
-
 def pair_mask_sum(pv: ParamVec, client_index: int, ctx: MaskingContext) -> ParamVec:
     """Signed sum of all pair masks for one client, laid out like `pv`.
 
     Client i adds m_ij for j > i and subtracts it for j < i; the tensor
     ordinal is the entry's position in canonical order.  Each element is
-    (2c - (K - 1)) * gamma, where c counts its +gamma terms.
+    (2c - (K - 1)) * gamma, where c counts its +gamma terms.  Each peer's
+    bits come from the pair's stream parked on `ctx`, or are expanded and
+    parked there by the first end of the pair.
     """
     if not 0 <= client_index < ctx.num_clients:
         raise InvalidPairError(
@@ -195,11 +166,24 @@ def pair_mask_sum(pv: ParamVec, client_index: int, ctx: MaskingContext) -> Param
     sizes = tuple(math.prod(shape) for _, shape in pv.layout)
     if 0 in sizes:
         raise ValueError("cannot mask a tensor with no elements")
-    k = ctx.num_clients
+    k, n = ctx.num_clients, pv.total_len
+    bounds = list(itertools.accumulate(sizes, initial=0))
     # Every peer below starts as a +gamma term and loses it where its bit is 1.
-    count = np.full(pv.total_len, client_index, dtype=np.min_scalar_type(k - 1))
-    for bits, below in _pair_directions(ctx, client_index, sizes):
-        if below:
+    count = np.full(n, client_index, dtype=np.min_scalar_type(k - 1))
+    for j in range(k):
+        if j == client_index:
+            continue
+        memo_key = (min(client_index, j), max(client_index, j), sizes)
+        parked = ctx._pending_streams.pop(memo_key, None)
+        if parked is None:
+            key = derive_pair_key(ctx, client_index, j)
+            bits = np.empty(n, dtype=np.uint8)
+            for ordinal, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+                bits[start:stop] = mask_keystream(key, ordinal, stop - start)
+            ctx._pending_streams[memo_key] = np.packbits(bits)
+        else:
+            bits = np.unpackbits(parked, count=n)
+        if j < client_index:
             np.subtract(count, bits, out=count)
         else:
             np.add(count, bits, out=count)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .nn import (
     Activation,
-    Adam,
     Conv2D,
     MaxPool2,
     UpsampleNearest2,
@@ -99,65 +98,57 @@ class ChannelNet(_ConvNet):
 
 
 class SegNet(_ConvNet):
-    """Spectrogram -> per-pixel class logits via an encoder-decoder with skips."""
+    """Spectrogram -> per-pixel class logits via an encoder-decoder with skips.
+
+    enc1..enc3 and bott climb the ladder 3 -> f1 -> f2 -> f3 -> fb, pooling
+    before every stage but the first.  dec3..dec1 each read the stage below,
+    upsampled, then the matching encoder output, and map back to its width,
+    so a decoder's first cin - cout channels are the upsampled ones.  A 1x1
+    head maps f1 to the class logits.
+    """
 
     def __init__(self, spec: ModelSpec):
-        f1, f2, f3 = spec.encoder_filters
-        fb = spec.bottleneck_filters
-        self.enc1 = Conv2D("enc1", 3, 3, 3, f1, input_grad=False)
-        self.enc2 = Conv2D("enc2", 3, 3, f1, f2)
-        self.enc3 = Conv2D("enc3", 3, 3, f2, f3)
-        self.bott = Conv2D("bott", 3, 3, f3, fb)
-        self.dec3 = Conv2D("dec3", 3, 3, fb + f3, f3)
-        self.dec2 = Conv2D("dec2", 3, 3, f3 + f2, f2)
-        self.dec1 = Conv2D("dec1", 3, 3, f2 + f1, f1)
-        self.head = Conv2D("head", 1, 1, f1, spec.num_classes)
-        super().__init__([
-            self.enc1, self.enc2, self.enc3, self.bott,
-            self.dec3, self.dec2, self.dec1, self.head,
-        ])
-        self.relus = {c.name: Activation("relu") for c in self.convs[:-1]}
+        widths = (3, *spec.encoder_filters, spec.bottleneck_filters)
+        super().__init__(
+            [Conv2D(name, 3, 3, widths[k], widths[k + 1], input_grad=k > 0)
+             for k, name in enumerate(("enc1", "enc2", "enc3", "bott"))]
+            + [Conv2D(f"dec{k}", 3, 3, widths[k + 1] + widths[k], widths[k])
+               for k in (3, 2, 1)]
+            + [Conv2D("head", 1, 1, widths[1], spec.num_classes)]
+        )
+        self.relus = [Activation("relu") for _ in self.convs[:-1]]
         self.pools = [MaxPool2() for _ in range(3)]
         self.ups = [UpsampleNearest2() for _ in range(3)]
-        self._split = (fb, f3, f2)  # upsampled channel counts at each concat
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, h, w, c = x.shape
-        if h % 8 or w % 8:
-            raise ValueError(f"segmenter input dims must be divisible by 8, got {h}x{w}")
-        e1 = self.relus["enc1"].forward(self.enc1.forward(x))
-        e2 = self.relus["enc2"].forward(self.enc2.forward(self.pools[0].forward(e1)))
-        e3 = self.relus["enc3"].forward(self.enc3.forward(self.pools[1].forward(e2)))
-        b = self.relus["bott"].forward(self.bott.forward(self.pools[2].forward(e3)))
-        d3 = self.relus["dec3"].forward(
-            self.dec3.forward(np.concatenate([self.ups[0].forward(b), e3], axis=-1))
-        )
-        d2 = self.relus["dec2"].forward(
-            self.dec2.forward(np.concatenate([self.ups[1].forward(d3), e2], axis=-1))
-        )
-        d1 = self.relus["dec1"].forward(
-            self.dec1.forward(np.concatenate([self.ups[2].forward(d2), e1], axis=-1))
-        )
-        return self.head.forward(d1)
+        _, rows, cols, _ = x.shape
+        if rows % 8 or cols % 8:
+            raise ValueError(f"segmenter input dims must be divisible by 8, got {rows}x{cols}")
+        h, skips = x, []
+        for k, (conv, relu) in enumerate(zip(self.convs[:4], self.relus[:4])):
+            if k:
+                skips.append(h)
+                h = self.pools[k - 1].forward(h)
+            h = relu.forward(conv.forward(h))
+        for conv, relu, up in zip(self.convs[4:7], self.relus[4:], self.ups):
+            h = np.concatenate([up.forward(h), skips.pop()], axis=-1)
+            h = relu.forward(conv.forward(h))
+        return self.convs[7].forward(h)
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, ParamVec]:
         logits = self.forward(x)
         loss, dlogits = softmax_cross_entropy(logits, labels)
-
-        dd1 = self.dec1.backward(self.relus["dec1"].backward(self.head.backward(dlogits)))
-        dup, dskip1 = dd1[..., : self._split[2]], dd1[..., self._split[2] :]
-        dd2 = self.dec2.backward(self.relus["dec2"].backward(self.ups[2].backward(dup)))
-        dup, dskip2 = dd2[..., : self._split[1]], dd2[..., self._split[1] :]
-        dd3 = self.dec3.backward(self.relus["dec3"].backward(self.ups[1].backward(dup)))
-        dup, dskip3 = dd3[..., : self._split[0]], dd3[..., self._split[0] :]
-
-        db = self.bott.backward(self.relus["bott"].backward(self.ups[0].backward(dup)))
-        de3 = self.pools[2].backward(db) + dskip3
-        dp2 = self.enc3.backward(self.relus["enc3"].backward(de3))
-        de2 = self.pools[1].backward(dp2) + dskip2
-        dp1 = self.enc2.backward(self.relus["enc2"].backward(de2))
-        de1 = self.pools[0].backward(dp1) + dskip1
-        self.enc1.backward(self.relus["enc1"].backward(de1))
+        d = self.convs[7].backward(dlogits)
+        dskips = []
+        for conv, relu, up in zip(self.convs[6:3:-1], self.relus[6:3:-1], self.ups[::-1]):
+            d = conv.backward(relu.backward(d))
+            split = conv.cin - conv.cout
+            dskips.append(d[..., split:])
+            d = up.backward(d[..., :split])
+        for k in (3, 2, 1, 0):
+            d = self.convs[k].backward(self.relus[k].backward(d))
+            if k:
+                d = self.pools[k - 1].backward(d) + dskips.pop()
         return loss, self.grads
 
 
@@ -184,7 +175,3 @@ def set_params(net, pv: ParamVec) -> None:
     if not pv.same_structure(net.params):
         raise ValueError("parameter vector does not match the model structure")
     net.params.buf[...] = pv.buf
-
-
-def new_optimizer(net, lr: float) -> Adam:
-    return Adam(net.params.buf, lr)

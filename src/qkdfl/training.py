@@ -6,7 +6,8 @@ import numpy as np
 
 from .datasets import stack_batch
 from .errors import DivergenceError
-from .models import ModelSpec, build_model, get_params, new_optimizer, set_params
+from .models import ModelSpec, build_model, get_params, set_params
+from .nn import Adam
 from .params import ParamVec
 
 
@@ -34,7 +35,7 @@ def train_local(
 
     net = build_model(spec)
     set_params(net, pv)
-    opt = new_optimizer(net, lr)
+    opt = Adam(net.params.buf, lr)
     rng = np.random.default_rng(seed)
     n = len(shard)
 

@@ -133,6 +133,31 @@ class TestReportVerb:
         assert main(["report", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,damage",
+        [
+            ("manifest.json", lambda text: text[: len(text) // 2]),
+            ("manifest.json", lambda text: "[1, 2]"),
+            ("rounds.jsonl", lambda text: text + "{not json\n"),
+            ("rounds.jsonl", lambda text: text + '{"round": 9}\n'),
+            ("rounds.jsonl", lambda text: json.dumps({**json.loads(text), "utility": []})),
+        ],
+        ids=[
+            "manifest-not-json", "manifest-not-object", "round-not-json", "round-no-status",
+            "round-utility-not-object",
+        ],
+    )
+    def test_report_on_damaged_run_dir(self, tmp_path, capsys, name, damage):
+        cfg = write_cfg(tmp_path, epochs=1)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        target = out / name
+        target.write_text(damage(target.read_text()))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err and "Traceback" not in err
+
 
 class TestValidateVerb:
     def test_valid_config(self, tmp_path, capsys):
