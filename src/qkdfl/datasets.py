@@ -34,7 +34,7 @@ from .errors import DatasetFormatError
 
 MAGIC = b"QFDS"
 CONTAINER_VERSION = 1
-_TASK_CODES = {"channel": 0, "radar": 1}
+_TASKS = ("channel", "radar")  # a task's container task code is its index
 _HEADER = struct.Struct("<4sHBBIIIII")
 
 CLASS_NOISE, CLASS_LTE, CLASS_NR, CLASS_RADAR = 0, 1, 2, 3
@@ -159,37 +159,56 @@ def _gen_radar_sample(rng: np.random.Generator, s: int) -> RadarSample:
 # ---------------------------------------------------------------------------
 
 
-def _dataset_task(samples) -> str:
-    return "channel" if isinstance(samples[0], ChannelSample) else "radar"
+_SAMPLE_TYPES = {"channel": ChannelSample, "radar": RadarSample}
+
+
+def _record_fields(task: str, dims) -> list[tuple[str, str, tuple]]:
+    """One sample's container record as (sample attribute, container dtype,
+    shape) fields, with every shape taken from the header dims."""
+    d0, d1, d2, _ = dims
+    if task == "channel":
+        return [("pilots", "<f4", (d0, d1, 1)), ("truth", "<f4", (d0, d1, 1)),
+                ("snr_db", "<f4", ())]
+    return [("spectrogram", "<f4", (d0, d1, d2)), ("labels", "u1", (d0, d1))]
+
+
+def _widen(value):
+    """A record field as a sample holds it: float64 or int64 arrays, a float."""
+    if value.ndim == 0:
+        return float(value)
+    return value.astype(np.int64 if value.dtype.kind == "u" else np.float64)
 
 
 def save_dataset(path, samples: list, gen_params: dict | None = None) -> None:
-    """Write samples to the flat binary container plus a JSON sidecar."""
+    """Write samples to the flat binary container plus a JSON sidecar.
+
+    The header dims come from the first sample's own shape.  Raises
+    ValueError, before any file is written, naming the first sample whose
+    type or shapes differ from that record.
+    """
     if not samples:
         raise ValueError("cannot save an empty dataset")
     path = Path(path)
-    task = _dataset_task(samples)
-    if task == "channel":
-        h, w, _ = samples[0].pilots.shape
-        dims = (h, w, 1, 0)
-    else:
-        s = samples[0].labels.shape[0]
-        dims = (s, s, 3, 0)
+    task = "channel" if isinstance(samples[0], ChannelSample) else "radar"
+    lead = getattr(samples[0], "pilots" if task == "channel" else "spectrogram", None)
+    dims = (*np.shape(lead), 0, 0, 0, 0)[:4]
+    fields = _record_fields(task, dims)
+    sample_type = _SAMPLE_TYPES[task]
+    records = np.empty(len(samples), dtype=np.dtype(fields))
+    for i, sample in enumerate(samples):
+        if not isinstance(sample, sample_type) or any(
+            np.shape(getattr(sample, attr)) != shape for attr, _, shape in fields
+        ):
+            raise ValueError(
+                f"sample {i} does not match the dataset's record: every sample must be "
+                f"a {sample_type.__name__} shaped {({a: s for a, _, s in fields})}"
+            )
+        records[i] = tuple(getattr(sample, attr) for attr, _, _ in fields)
 
     with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                MAGIC, CONTAINER_VERSION, _TASK_CODES[task], 0, len(samples), *dims
-            )
-        )
-        for sample in samples:
-            if task == "channel":
-                fh.write(sample.pilots.astype("<f4").tobytes())
-                fh.write(sample.truth.astype("<f4").tobytes())
-                fh.write(np.float32(sample.snr_db).tobytes())
-            else:
-                fh.write(sample.spectrogram.astype("<f4").tobytes())
-                fh.write(sample.labels.astype(np.uint8).tobytes())
+        header = (MAGIC, CONTAINER_VERSION, _TASKS.index(task), 0, len(samples), *dims)
+        fh.write(_HEADER.pack(*header))
+        fh.write(records.tobytes())
 
     sidecar = {
         "task": task,
@@ -216,20 +235,17 @@ def load_dataset(path) -> tuple[list, dict]:
         raise DatasetFormatError(
             f"{path}: truncated header ({len(data)} of {_HEADER.size} bytes)"
         )
-    magic, version, task_code, _, count, d0, d1, d2, _ = _HEADER.unpack_from(data)
+    magic, version, task_code, _, count, *dims = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise DatasetFormatError(f"{path}: not a dataset container (bad magic)")
     if version != CONTAINER_VERSION:
         raise DatasetFormatError(f"{path}: unsupported container version {version}")
-    if task_code == _TASK_CODES["channel"]:
-        fields = [("pilots", "<f4", (d0, d1, 1)), ("truth", "<f4", (d0, d1, 1)),
-                  ("snr", "<f4", ())]
-    elif task_code == _TASK_CODES["radar"]:
-        fields = [("spect", "<f4", (d0, d1, d2)), ("labels", "u1", (d0, d1))]
-    else:
+    if task_code >= len(_TASKS):
         raise DatasetFormatError(f"{path}: unknown task code {task_code}")
     if count == 0:
         raise DatasetFormatError(f"{path}: container holds no samples")
+    task = _TASKS[task_code]
+    fields = _record_fields(task, dims)
     # Sized in Python ints: dims from a damaged header can overflow a numpy dtype.
     sample_bytes = sum(np.dtype(dt).itemsize * math.prod(shape) for _, dt, shape in fields)
     expected = count * sample_bytes
@@ -241,23 +257,10 @@ def load_dataset(path) -> tuple[list, dict]:
             f"({expected} bytes), file holds {payload}"
         )
     records = np.frombuffer(data, dtype=np.dtype(fields), count=count, offset=_HEADER.size)
-    if task_code == _TASK_CODES["channel"]:
-        samples = [
-            ChannelSample(
-                pilots=rec["pilots"].astype(np.float64),
-                truth=rec["truth"].astype(np.float64),
-                snr_db=float(rec["snr"]),
-            )
-            for rec in records
-        ]
-    else:
-        samples = [
-            RadarSample(
-                spectrogram=rec["spect"].astype(np.float64),
-                labels=rec["labels"].astype(np.int64),
-            )
-            for rec in records
-        ]
+    samples = [
+        _SAMPLE_TYPES[task](**{attr: _widen(rec[attr]) for attr, _, _ in fields})
+        for rec in records
+    ]
 
     sidecar_path = Path(str(path) + ".json")
     sidecar = {}

@@ -42,7 +42,13 @@ from . import params as pvops
 from .bits import random_bits
 from .datasets import ChannelSample, RadarSample
 from .errors import UndefinedProxyError
-from .masking import MaskingContext, aggregate, apply_pairwise_masks, leakage_proxies
+from .masking import (
+    MIN_ROUND_SEED_BITS,
+    MaskingContext,
+    aggregate,
+    apply_pairwise_masks,
+    leakage_proxies,
+)
 from .metrics import eval_channel, eval_radar
 from .models import ModelSpec, TASK_CHANNEL
 from .params import ParamVec
@@ -165,7 +171,7 @@ def _round_seed_bits(cfg: RoundConfig, session_key: np.ndarray | None) -> np.nda
     prg = np.random.default_rng(
         derive_seed(cfg.master_seed, cfg.round_index, _TAG_ROUND_KEY)
     )
-    return random_bits(prg, 256)
+    return random_bits(prg, MIN_ROUND_SEED_BITS)
 
 
 def _train_clients(
@@ -346,6 +352,8 @@ def partition_non_iid(
     client sees, not just how much.  skew = inf gives a balanced split.
     """
     n = len(dataset)
+    if num_clients < 1:
+        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
     if n < num_clients:
         raise ValueError(f"dataset of {n} samples cannot feed {num_clients} clients")
     if not skew > 0:

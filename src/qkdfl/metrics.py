@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datasets import stack_batch
+from .datasets import RADAR_CLASS_NAMES, stack_batch
 from .models import ModelSpec, build_model, set_params
 from .params import ParamVec
 
@@ -47,7 +47,9 @@ def pixel_accuracy(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
     return float(np.count_nonzero(pred_labels == true_labels)) / pred_labels.size
 
 
-def mean_iou(pred_labels: np.ndarray, true_labels: np.ndarray, num_classes: int = 4) -> float:
+def mean_iou(
+    pred_labels: np.ndarray, true_labels: np.ndarray, num_classes: int = len(RADAR_CLASS_NAMES)
+) -> float:
     """Mean IoU over classes present in prediction or ground truth."""
     pred_labels = np.asarray(pred_labels)
     true_labels = np.asarray(true_labels)
@@ -69,35 +71,26 @@ def mean_iou(pred_labels: np.ndarray, true_labels: np.ndarray, num_classes: int 
     return float(np.mean(ious))
 
 
-def _predict_chunks(net, samples: list) -> list[np.ndarray]:
-    outs = []
-    for start in range(0, len(samples), _EVAL_CHUNK):
-        x, _ = stack_batch(samples[start : start + _EVAL_CHUNK])
-        outs.append(net.forward(x))
-    return outs
+def _predict(spec: ModelSpec, pv: ParamVec, samples: list) -> tuple[np.ndarray, np.ndarray]:
+    """(model outputs, targets) over a dataset, forwarded _EVAL_CHUNK samples at a time."""
+    if not samples:
+        raise ValueError("empty dataset")
+    net = build_model(spec)
+    set_params(net, pv)
+    outs = [
+        net.forward(stack_batch(samples[start : start + _EVAL_CHUNK])[0])
+        for start in range(0, len(samples), _EVAL_CHUNK)
+    ]
+    return np.concatenate(outs), stack_batch(samples)[1]
 
 
 def eval_channel(spec: ModelSpec, pv: ParamVec, samples: list) -> float:
     """NMSE of the channel estimator over a dataset."""
-    if not samples:
-        raise ValueError("empty dataset")
-    net = build_model(spec)
-    set_params(net, pv)
-    preds = np.concatenate(_predict_chunks(net, samples))
-    _, targets = stack_batch(samples)
-    return nmse(preds, targets)
+    return nmse(*_predict(spec, pv, samples))
 
 
 def eval_radar(spec: ModelSpec, pv: ParamVec, samples: list) -> tuple[float, float]:
     """(pixel accuracy, mean IoU) of the segmenter over a dataset."""
-    if not samples:
-        raise ValueError("empty dataset")
-    net = build_model(spec)
-    set_params(net, pv)
-    logits = np.concatenate(_predict_chunks(net, samples))
+    logits, true_labels = _predict(spec, pv, samples)
     pred_labels = logits.argmax(axis=-1)
-    _, true_labels = stack_batch(samples)
-    return (
-        pixel_accuracy(pred_labels, true_labels),
-        mean_iou(pred_labels, true_labels, spec.num_classes),
-    )
+    return pixel_accuracy(pred_labels, true_labels), mean_iou(pred_labels, true_labels)

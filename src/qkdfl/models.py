@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import RADAR_CLASS_NAMES
 from .nn import (
     Activation,
     Conv2D,
@@ -24,8 +25,6 @@ from .params import ParamVec, zeros_like
 
 TASK_CHANNEL = "channel"
 TASK_RADAR = "radar"
-
-NUM_RADAR_CLASSES = 4
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,6 @@ class ModelSpec:
     channel_widths: tuple[int, int] = (12, 8)
     encoder_filters: tuple[int, int, int] = (8, 16, 32)
     bottleneck_filters: int = 64
-    num_classes: int = NUM_RADAR_CLASSES
     init_seed: int = 0
 
     def __post_init__(self):
@@ -114,7 +112,7 @@ class SegNet(_ConvNet):
              for k, name in enumerate(("enc1", "enc2", "enc3", "bott"))]
             + [Conv2D(f"dec{k}", 3, 3, widths[k + 1] + widths[k], widths[k])
                for k in (3, 2, 1)]
-            + [Conv2D("head", 1, 1, widths[1], spec.num_classes)]
+            + [Conv2D("head", 1, 1, widths[1], len(RADAR_CLASS_NAMES))]
         )
         self.relus = [Activation("relu") for _ in self.convs[:-1]]
         self.pools = [MaxPool2() for _ in range(3)]

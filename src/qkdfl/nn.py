@@ -275,18 +275,10 @@ def softmax_cross_entropy(
 class Adam:
     """Adaptive-moment optimizer with bias correction; steps one flat buffer in place."""
 
-    def __init__(
-        self,
-        params: np.ndarray,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: np.ndarray, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -296,18 +288,18 @@ class Adam:
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - self.BETA1**self.t
+        c2 = 1.0 - self.BETA2**self.t
         num, den = self._num, self._den
-        self.m *= self.beta1
-        self.m += np.multiply(1.0 - self.beta1, grads, out=num)
-        self.v *= self.beta2
+        self.m *= self.BETA1
+        self.m += np.multiply(1.0 - self.BETA1, grads, out=num)
+        self.v *= self.BETA2
         np.multiply(grads, grads, out=num)
-        self.v += np.multiply(1.0 - self.beta2, num, out=num)
+        self.v += np.multiply(1.0 - self.BETA2, num, out=num)
         # params -= lr * (m / c1) / (sqrt(v / c2) + eps)
         np.divide(self.m, c1, out=num)
         np.multiply(self.lr, num, out=num)
         np.divide(self.v, c2, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += self.EPS
         params -= np.divide(num, den, out=num)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -11,6 +12,8 @@ from qkdfl.datasets import (
     CLASS_NOISE,
     CLASS_NR,
     CLASS_RADAR,
+    ChannelSample,
+    RadarSample,
     gen_channel_dataset,
     gen_radar_dataset,
     load_dataset,
@@ -138,6 +141,66 @@ class TestContainer:
         for orig, back in zip(samples, loaded):
             assert np.allclose(orig.spectrogram, back.spectrogram, atol=1e-6)
             assert (orig.labels == back.labels).all()
+
+    def test_non_square_radar_round_trip(self, tmp_path):
+        samples = [
+            RadarSample(spectrogram=s.spectrogram[:16], labels=s.labels[:16])
+            for s in gen_radar_dataset(3, size=32, seed=15)
+        ]
+        path = tmp_path / "wide.qfds"
+        save_dataset(path, samples)
+        loaded, sidecar = load_dataset(path)
+        assert sidecar["dims"] == [16, 32, 3, 0]
+        for orig, back in zip(samples, loaded):
+            assert back.spectrogram.shape == (16, 32, 3)
+            assert np.allclose(orig.spectrogram, back.spectrogram, atol=1e-6)
+            assert (orig.labels == back.labels).all()
+
+    @pytest.mark.parametrize("last", ["channel 4x8", "radar"])
+    def test_mixed_samples_rejected_before_writing(self, tmp_path, last):
+        samples = gen_channel_dataset(2, snr_db=10.0, dims=(8, 4), seed=16)
+        if last == "radar":
+            samples += gen_radar_dataset(1, size=16, seed=17)
+        else:
+            samples += gen_channel_dataset(1, snr_db=10.0, dims=(4, 8), seed=17)
+        with pytest.raises(ValueError, match="sample 2 .*ChannelSample"):
+            save_dataset(tmp_path / "mixed.qfds", samples)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "task, digests",
+        [
+            ("channel", ("6ba04d3b77adc612205e5f79df924d78748b69ece8f11686df851d02c7c9d403",
+                         "50e29e964728a3629b5c60433df9cbaf44ac5508327d5404f736a74cf67b13c4")),
+            ("radar", ("35902c64dd7b661822c16e849ece6ea53d5b6b86084da21959c4e2a199bd10a3",
+                       "bc25842fa66b107c68b0cc6bb345649b6070518f5b0b589e16658a9c633f568f")),
+        ],
+    )
+    def test_container_bytes_pinned(self, tmp_path, task, digests):
+        # Fixed samples from exact arithmetic only (no RNG, no libm), so the
+        # digests pin the container and sidecar format, nothing upstream.
+        if task == "channel":
+            grid = np.arange(3 * 8 * 4, dtype=np.float64).reshape(3, 8, 4, 1)
+            samples = [
+                ChannelSample(pilots=grid[i] / 7.0, truth=np.sqrt(grid[i]), snr_db=2.5 * i - 1.0)
+                for i in range(3)
+            ]
+            gen_params = {"seed": 21, "snr_db": 12.5}
+        else:
+            spect = np.arange(2 * 16 * 16 * 3, dtype=np.float64).reshape(2, 16, 16, 3)
+            labels = np.arange(2 * 16 * 16).reshape(2, 16, 16) % 4
+            samples = [
+                RadarSample(spectrogram=(spect[i] % 17) / 7.0 - 1.0, labels=labels[i])
+                for i in range(2)
+            ]
+            gen_params = {"size": 16}
+        path = tmp_path / f"{task}.qfds"
+        save_dataset(path, samples, gen_params=gen_params)
+        got = tuple(
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (path, tmp_path / f"{task}.qfds.json")
+        )
+        assert got == digests
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.qfds"

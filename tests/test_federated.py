@@ -76,6 +76,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition_non_iid(list(range(3)), 4, skew=1.0, seed=0)
 
+    @pytest.mark.parametrize("num_clients", [0, -1])
+    def test_fewer_than_one_client_rejected(self, num_clients):
+        with pytest.raises(ValueError, match="num_clients"):
+            partition_non_iid(list(range(8)), num_clients, skew=1.0, seed=0)
+
     @pytest.mark.parametrize("skew", [0.0, -1.0, -np.inf, np.nan])
     def test_non_positive_or_nan_skew_rejected(self, skew):
         with pytest.raises(ValueError, match="skew"):

@@ -4,7 +4,7 @@ import pytest
 from qkdfl import metrics
 from qkdfl.datasets import gen_channel_dataset, gen_radar_dataset
 from qkdfl.metrics import NMSE_EPS, mean_iou, nmse, pixel_accuracy
-from qkdfl.models import ModelSpec, build_model, init_params, set_params
+from qkdfl.models import ModelSpec, init_params
 
 
 class TestNmse:
@@ -79,12 +79,11 @@ class TestEvalChunks:
         else:
             samples = gen_radar_dataset(16, size=32, seed=5)
         spec = ModelSpec(task=task, init_seed=3)
-        net = build_model(spec)
-        set_params(net, init_params(spec))
+        pv = init_params(spec)
         preds = {}
         for chunk in (32, 4, 3, 1):
             monkeypatch.setattr(metrics, "_EVAL_CHUNK", chunk)
-            preds[chunk] = np.concatenate(metrics._predict_chunks(net, samples)).tobytes()
+            preds[chunk] = metrics._predict(spec, pv, samples)[0].tobytes()
         assert preds[4] == preds[32]
         assert preds[3] == preds[32]
         assert preds[1] == preds[32]
