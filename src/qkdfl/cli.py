@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    qkdfl run CONFIG [--seed N] [--out DIR] [--jobs N]
+    qkdfl run CONFIG [--seed N] [--out DIR]
     qkdfl report RUN_DIR [--out DIR]
     qkdfl validate CONFIG
 
@@ -38,11 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a JSON experiment config")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="cell worker processes (default 1); each trains a round's clients on "
-        "its share of the usable cores, and the output is the same for any value",
-    )
 
     rep_p = sub.add_parser("report", help="emit analysis CSVs from a run directory")
     rep_p.add_argument("run_dir", help="directory produced by `qkdfl run`")
@@ -67,7 +62,7 @@ def _load_config(path: str, seed_override: int | None = None) -> ExperimentConfi
 def cmd_run(args) -> int:
     cfg = _load_config(args.config, args.seed)
     out_dir = args.out or cfg.out_dir or f"runs/exp_{cfg.experiment.lower()}"
-    manifest = run_experiment(cfg, out_dir, jobs=args.jobs)
+    manifest = run_experiment(cfg, out_dir)
     print(f"run complete: {out_dir}")
     for name in manifest["files"]:
         print(f"  {name}")

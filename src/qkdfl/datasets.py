@@ -14,9 +14,10 @@ match the painted regions; pulses paint over bands.
 
 Container layout (little-endian):
     header  magic "QFDS", u16 version, u8 task (0 channel / 1 radar),
-            u8 reserved, u32 count, 4 x u32 dims
+            u8 reserved (0), u32 count, 4 x u32 dims (H, W, 1, 0 for
+            channel; S, S, 3, 0 for radar)
     channel sample: f32 pilots (H*W), f32 truth (H*W), f32 snr_db
-    radar sample:   f32 spectrogram (S*S*3), u8 labels (S*S)
+    radar sample:   f32 spectrogram (S*S*3), u8 labels (S*S), each a class id
 A JSON sidecar at <path>.json records the generation parameters.
 """
 
@@ -179,12 +180,18 @@ def _widen(value):
     return value.astype(np.int64 if value.dtype.kind == "u" else np.float64)
 
 
+def _labels_out_of_range(labels) -> bool:
+    """True when a label map holds anything but the radar class ids."""
+    return not np.isin(labels, np.arange(len(RADAR_CLASS_NAMES))).all()
+
+
 def save_dataset(path, samples: list, gen_params: dict | None = None) -> None:
     """Write samples to the flat binary container plus a JSON sidecar.
 
     The header dims come from the first sample's own shape.  Raises
     ValueError, before any file is written, naming the first sample whose
-    type or shapes differ from that record.
+    type or shapes differ from that record, or whose radar labels are not
+    all class ids.
     """
     if not samples:
         raise ValueError("cannot save an empty dataset")
@@ -202,6 +209,10 @@ def save_dataset(path, samples: list, gen_params: dict | None = None) -> None:
             raise ValueError(
                 f"sample {i} does not match the dataset's record: every sample must be "
                 f"a {sample_type.__name__} shaped {({a: s for a, _, s in fields})}"
+            )
+        if task == "radar" and _labels_out_of_range(sample.labels):
+            raise ValueError(
+                f"sample {i} has radar labels outside 0..{len(RADAR_CLASS_NAMES) - 1}"
             )
         records[i] = tuple(getattr(sample, attr) for attr, _, _ in fields)
 
@@ -226,8 +237,9 @@ def load_dataset(path) -> tuple[list, dict]:
     """Read a container back; returns (samples, sidecar dict).
 
     Raises DatasetFormatError, naming the path, when the header is short or
-    invalid, the payload is not exactly `count` samples long, or the sidecar
-    disagrees with the header's sample count.
+    invalid, the payload is not exactly `count` samples long, a radar label
+    is not a class id, or the sidecar disagrees with the header's sample
+    count.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -235,16 +247,22 @@ def load_dataset(path) -> tuple[list, dict]:
         raise DatasetFormatError(
             f"{path}: truncated header ({len(data)} of {_HEADER.size} bytes)"
         )
-    magic, version, task_code, _, count, *dims = _HEADER.unpack_from(data)
+    magic, version, task_code, reserved, count, *dims = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise DatasetFormatError(f"{path}: not a dataset container (bad magic)")
     if version != CONTAINER_VERSION:
         raise DatasetFormatError(f"{path}: unsupported container version {version}")
     if task_code >= len(_TASKS):
         raise DatasetFormatError(f"{path}: unknown task code {task_code}")
+    if reserved != 0:
+        raise DatasetFormatError(f"{path}: reserved byte is {reserved}, not 0")
     if count == 0:
         raise DatasetFormatError(f"{path}: container holds no samples")
     task = _TASKS[task_code]
+    if task == "channel" and dims[2] != 1:
+        raise DatasetFormatError(f"{path}: channel dims[2] is {dims[2]}, not 1")
+    if dims[3] != 0:
+        raise DatasetFormatError(f"{path}: dims[3] is {dims[3]}, not 0")
     fields = _record_fields(task, dims)
     # Sized in Python ints: dims from a damaged header can overflow a numpy dtype.
     sample_bytes = sum(np.dtype(dt).itemsize * math.prod(shape) for _, dt, shape in fields)
@@ -257,6 +275,10 @@ def load_dataset(path) -> tuple[list, dict]:
             f"({expected} bytes), file holds {payload}"
         )
     records = np.frombuffer(data, dtype=np.dtype(fields), count=count, offset=_HEADER.size)
+    if task == "radar" and _labels_out_of_range(records["labels"]):
+        raise DatasetFormatError(
+            f"{path}: radar labels outside 0..{len(RADAR_CLASS_NAMES) - 1}"
+        )
     samples = [
         _SAMPLE_TYPES[task](**{attr: _widen(rec[attr]) for attr, _, _ in fields})
         for rec in records

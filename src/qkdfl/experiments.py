@@ -416,27 +416,19 @@ def _run_cell(args) -> dict[str, list[dict]]:
     }
 
 
-def worker_count(jobs: int, cells: int) -> int:
-    """Worker processes for `jobs` requested over `cells` cells: never more
-    than there are cells or usable cores, and at least one."""
-    return max(1, min(jobs, cells, usable_cores()))
+def run_cells(cfg: ExperimentConfig) -> dict[str, list[dict]]:
+    """Run every cell of the configured experiment; returns each output
+    file's rows, concatenated in cell order, keyed by file name.
 
-
-def run_cells(cfg: ExperimentConfig, jobs: int = 1) -> dict[str, list[dict]]:
-    """Run every cell of the configured experiment, serially or over `jobs`
-    worker processes; returns each output file's rows, concatenated in cell
-    order, keyed by file name.
-
-    Each of the W cell workers trains a round's clients on
-    max(1, cores // W) threads, so processes times threads never exceed the
-    usable cores.  Neither number changes an output byte.
+    The cells run over W = min(cells, usable cores) worker processes, or in
+    this process when W is 1, and each trains a round's clients on
+    cores // W threads, so processes times threads never exceed the usable
+    cores.  Neither number changes an output byte.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
     cell_list = _cells(cfg)
-    workers = worker_count(jobs, len(cell_list))
-    trainers = max(1, usable_cores() // workers)
-    cells = [(cfg, cell, trainers) for cell in cell_list]
+    cores = usable_cores()
+    workers = min(len(cell_list), cores)
+    cells = [(cfg, cell, cores // workers) for cell in cell_list]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, cells))
@@ -497,12 +489,12 @@ _SUMMARY_KEYS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Run the configured experiment and persist all outputs under out_dir.
 
     Returns the manifest dict.
     """
-    tables = run_cells(cfg, jobs)
+    tables = run_cells(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()

@@ -1,11 +1,15 @@
 """Federated rounds with per-round key establishment and QBER abort.
 
 One key-agreement session runs per round between the client cohort and a
-key authority; the aggregation server never sees the round seed.  If the
-measured QBER reaches the abort threshold the round is consumed with the
-global model frozen: no training, no key material used, no bytes moved.
-Otherwise every client trains locally, masks its upload (in the masked
-modes) and the server averages.
+key authority; the aggregation server never sees the round seed.  Every
+client does hold it, so any one client can derive every pair key and strip
+the other clients' masks from their uploads: the masks can hide updates
+at most from a server that colludes with no client.
+
+If the measured QBER reaches the abort threshold the round is consumed
+with the global model frozen: no training, no key material used, no bytes
+moved.  Otherwise every client trains locally, masks its upload (in the
+masked modes) and the server averages.
 
 Aggregation modes:
     plain        uploads are the raw local parameters
@@ -110,6 +114,10 @@ class RoundConfig:
             raise ValueError("qber_threshold must be in (0, 1)")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
 
 
 @dataclass

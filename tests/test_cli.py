@@ -62,15 +62,6 @@ class TestRunVerb:
         hb = json.loads((tmp_path / "b" / "manifest.json").read_text())["config_hash"]
         assert ha != hb
 
-    def test_jobs_flag_accepted(self, tmp_path):
-        cfg = write_cfg(tmp_path, clients=[2, 3])
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
-
-    def test_jobs_below_one_is_config_error(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path)
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "0"]) == 1
-        assert "jobs" in capsys.readouterr().err
-
     def test_unexpected_error_is_runtime_failure(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("disk on fire")
@@ -96,12 +87,12 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["run", "CFG", "--jobs", "abc"],
+            ["run", "CFG", "--jobs", "2"],
             ["run", "CFG", "--seed", "1.5"],
             ["frob"],
             ["run"],
         ],
-        ids=["non-integer-jobs", "non-integer-seed", "unknown-subcommand", "missing-config"],
+        ids=["jobs-flag", "non-integer-seed", "unknown-subcommand", "missing-config"],
     )
     def test_usage_error_is_config_error(self, tmp_path, capsys, argv):
         cfg = write_cfg(tmp_path)

@@ -211,7 +211,8 @@ class TestContainer:
     @pytest.mark.parametrize(
         "field, value, message",
         [(0, b"nope", "bad magic"), (1, 2, "version 2"), (2, 7, "task code 7"),
-         (4, 0, "no samples")],
+         (3, 5, "reserved byte is 5"), (4, 0, "no samples"),
+         (7, 7, r"channel dims\[2\] is 7"), (8, 9, r"dims\[3\] is 9")],
     )
     def test_bad_header_is_typed(self, tmp_path, field, value, message):
         path = tmp_path / "junk.qfds"
@@ -222,6 +223,26 @@ class TestContainer:
         fields[field] = value
         path.write_bytes(header.pack(*fields) + data[header.size:])
         with pytest.raises(DatasetFormatError, match=f"junk.qfds: .*{message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("bad", [-300, 4, 255, 1.5])
+    def test_radar_labels_out_of_range_rejected_before_writing(self, tmp_path, bad):
+        samples = gen_radar_dataset(2, size=16, seed=18)
+        labels = samples[1].labels.astype(type(bad))
+        labels[3, 5] = bad
+        samples[1] = RadarSample(spectrogram=samples[1].spectrogram, labels=labels)
+        with pytest.raises(ValueError, match="sample 1 has radar labels outside 0..3"):
+            save_dataset(tmp_path / "labels.qfds", samples)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [4, 255])
+    def test_radar_labels_out_of_range_on_load(self, tmp_path, bad):
+        path = tmp_path / "labels.qfds"
+        save_dataset(path, gen_radar_dataset(2, size=16, seed=19))
+        data = bytearray(path.read_bytes())
+        data[-1] = bad  # the last label of the last sample
+        path.write_bytes(bytes(data))
+        with pytest.raises(DatasetFormatError, match="labels.qfds: radar labels outside 0..3"):
             load_dataset(path)
 
     @settings(

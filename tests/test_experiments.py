@@ -10,7 +10,6 @@ from qkdfl.experiments import (
     report_leakage,
     run_cells,
     run_experiment,
-    worker_count,
     write_csv,
 )
 from qkdfl.federated import usable_cores
@@ -304,15 +303,18 @@ class TestRunDirectory:
             assert a == b, f"{name} differs between identical runs"
 
     @pytest.mark.parametrize("family", ["A", "B", "C"])
-    def test_parallel_jobs_identical_output(self, tmp_path, family):
+    def test_parallel_jobs_identical_output(self, tmp_path, monkeypatch, family):
         overrides, files, _ = RUN_DIR_FAMILIES[family]
         cfg = make_cfg(**overrides)
-        run_experiment(cfg, tmp_path / "serial", jobs=1)
-        run_experiment(cfg, tmp_path / "parallel", jobs=2)
+        for name, cores in (("serial", {0}), ("parallel", {0, 1})):
+            monkeypatch.setattr(
+                "qkdfl.federated.os.sched_getaffinity", lambda pid, cores=cores: cores
+            )
+            run_experiment(cfg, tmp_path / name)
         for name in files:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "parallel" / name
-            ).read_bytes(), f"{name} differs between --jobs 1 and --jobs 2"
+            ).read_bytes(), f"{name} differs between one core and two"
 
 
 def _cell_trainers(args):
@@ -321,33 +323,27 @@ def _cell_trainers(args):
 
 
 class TestWorkerCount:
-    @pytest.mark.parametrize(
-        "jobs,cells,cores,expect",
-        [(1, 6, 4, 1), (3, 6, 4, 3), (8, 6, 4, 4), (8, 2, 4, 2), (8, 0, 4, 1), (8, 6, None, 1)],
-    )
-    def test_bounded_by_cells_and_cores(self, monkeypatch, jobs, cells, cores, expect):
-        # The CPU-count fallback, on a platform that reports no affinity.
-        monkeypatch.delattr("qkdfl.federated.os.sched_getaffinity", raising=False)
-        monkeypatch.setattr("qkdfl.federated.os.cpu_count", lambda: cores)
-        assert worker_count(jobs, cells) == expect
+    @pytest.mark.parametrize("cells,trainers", [(6, 1), (2, 2), (1, 4)])
+    def test_workers_share_the_cores(self, monkeypatch, cells, trainers):
+        monkeypatch.setattr("qkdfl.federated.os.sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr("qkdfl.experiments._run_cell", _cell_trainers)
+        cfg = make_cfg(clients=list(range(2, 2 + cells)), modes=["plain"])
+        assert run_cells(cfg)["trainers"] == [trainers] * cells
 
     def test_cores_follow_affinity_not_cpu_count(self, monkeypatch):
         monkeypatch.setattr("qkdfl.federated.os.sched_getaffinity", lambda pid: {3})
         monkeypatch.setattr("qkdfl.federated.os.cpu_count", lambda: 8)
-        assert usable_cores() == 1
-        assert worker_count(8, 6) == 1
-
-    @pytest.mark.parametrize("jobs,trainers", [(1, 4), (2, 2), (3, 1)])
-    def test_workers_share_the_cores(self, monkeypatch, jobs, trainers):
-        monkeypatch.setattr("qkdfl.federated.os.sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr("qkdfl.experiments._run_cell", _cell_trainers)
-        tables = run_cells(make_cfg(clients=[2, 3, 10]), jobs)
-        assert tables["trainers"] == [trainers] * 6
+        assert usable_cores() == 1
+        assert run_cells(make_cfg())["trainers"] == [1] * 6
 
-    def test_jobs_below_one_rejected_before_output(self, tmp_path):
-        with pytest.raises(ConfigError, match="jobs"):
-            run_experiment(make_cfg(), tmp_path / "run", jobs=0)
-        assert not (tmp_path / "run").exists()
+    @pytest.mark.parametrize("cores,trainers", [(4, 2), (None, 1)])
+    def test_cpu_count_fallback(self, monkeypatch, cores, trainers):
+        # A platform that reports no affinity; an unknown CPU count is one core.
+        monkeypatch.delattr("qkdfl.federated.os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("qkdfl.federated.os.cpu_count", lambda: cores)
+        monkeypatch.setattr("qkdfl.experiments._run_cell", _cell_trainers)
+        assert run_cells(make_cfg(clients=[3]))["trainers"] == [trainers] * 2
 
 
 class TestReportLeakage:

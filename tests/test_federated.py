@@ -248,6 +248,16 @@ class TestRoundConfigValidation:
         with pytest.raises(ValueError):
             make_cfg("plain", qber_threshold=1.0)
 
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_below_one(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            make_cfg("plain", batch_size=batch_size)
+
+    @pytest.mark.parametrize("learning_rate", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_learning_rate_not_finite_positive(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            make_cfg("plain", learning_rate=learning_rate)
+
 
 def uneven_setup(task, num_clients):
     """Shards of visibly different sizes, plus a validation set."""
