@@ -322,8 +322,39 @@ def _cell_trainers(args):
     return {"trainers": [args[2]]}
 
 
+class _InlinePool:
+    """Stands in for the process pool: records its size and maps in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 class TestWorkerCount:
-    @pytest.mark.parametrize("cells,trainers", [(6, 1), (2, 2), (1, 4)])
+    @pytest.mark.parametrize("cpus,cells,cores,workers", [(8, 6, 4, 4), (8, 2, 4, 2)])
+    def test_bounded_by_cells_and_cores(self, monkeypatch, cpus, cells, cores, workers):
+        # The pool follows the cells and the affinity, not the machine's CPU count.
+        sizes = []
+        monkeypatch.setattr("qkdfl.federated.os.sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr("qkdfl.federated.os.cpu_count", lambda: cpus)
+        monkeypatch.setattr("qkdfl.experiments._run_cell", _cell_trainers)
+        monkeypatch.setattr(
+            "qkdfl.experiments.concurrent.futures.ProcessPoolExecutor",
+            lambda max_workers: _InlinePool(sizes, max_workers),
+        )
+        cfg = make_cfg(clients=list(range(2, 2 + cells)), modes=["plain"])
+        assert run_cells(cfg)["trainers"] == [cores // workers] * cells
+        assert sizes == [workers]
+
+    @pytest.mark.parametrize("cells,trainers", [(6, 1), (3, 1), (2, 2), (1, 4)])
     def test_workers_share_the_cores(self, monkeypatch, cells, trainers):
         monkeypatch.setattr("qkdfl.federated.os.sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr("qkdfl.experiments._run_cell", _cell_trainers)
