@@ -20,7 +20,6 @@ from .masking import (
     MaskingContext,
     aggregate,
     apply_pairwise_masks,
-    bits_to_mask,
     derive_pair_key,
     leakage_proxies,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "RoundReport",
     "aggregate",
     "apply_pairwise_masks",
-    "bits_to_mask",
     "build_model",
     "derive_pair_key",
     "eval_channel",

@@ -47,6 +47,9 @@ _PILOT_SYMBOLS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 # Relative gain of the three spectrogram channels for painted signal energy.
 _CHANNEL_GAINS = np.array([1.0, 0.85, 0.7])
 
+# Each task's channel depth: a container's dims[2] and its samples' last axis.
+_DEPTH = {"channel": 1, "radar": len(_CHANNEL_GAINS)}
+
 
 @dataclass
 class ChannelSample:
@@ -166,11 +169,11 @@ _SAMPLE_TYPES = {"channel": ChannelSample, "radar": RadarSample}
 def _record_fields(task: str, dims) -> list[tuple[str, str, tuple]]:
     """One sample's container record as (sample attribute, container dtype,
     shape) fields, with every shape taken from the header dims."""
-    d0, d1, d2, _ = dims
+    d0, d1 = dims[:2]
+    grid = (d0, d1, _DEPTH[task])
     if task == "channel":
-        return [("pilots", "<f4", (d0, d1, 1)), ("truth", "<f4", (d0, d1, 1)),
-                ("snr_db", "<f4", ())]
-    return [("spectrogram", "<f4", (d0, d1, d2)), ("labels", "u1", (d0, d1))]
+        return [("pilots", "<f4", grid), ("truth", "<f4", grid), ("snr_db", "<f4", ())]
+    return [("spectrogram", "<f4", grid), ("labels", "u1", (d0, d1))]
 
 
 def _widen(value):
@@ -188,10 +191,11 @@ def _labels_out_of_range(labels) -> bool:
 def save_dataset(path, samples: list, gen_params: dict | None = None) -> None:
     """Write samples to the flat binary container plus a JSON sidecar.
 
-    The header dims come from the first sample's own shape.  Raises
-    ValueError, before any file is written, naming the first sample whose
-    type or shapes differ from that record, or whose radar labels are not
-    all class ids.
+    The header's height and width come from the first sample's shape; its
+    channel depth is the task's (1 channel, 3 radar).  Raises ValueError,
+    before any file is written, naming the first sample whose type or
+    shapes differ from that record, or whose radar labels are not all class
+    ids.
     """
     if not samples:
         raise ValueError("cannot save an empty dataset")
@@ -259,8 +263,8 @@ def load_dataset(path) -> tuple[list, dict]:
     if count == 0:
         raise DatasetFormatError(f"{path}: container holds no samples")
     task = _TASKS[task_code]
-    if task == "channel" and dims[2] != 1:
-        raise DatasetFormatError(f"{path}: channel dims[2] is {dims[2]}, not 1")
+    if dims[2] != _DEPTH[task]:
+        raise DatasetFormatError(f"{path}: {task} dims[2] is {dims[2]}, not {_DEPTH[task]}")
     if dims[3] != 0:
         raise DatasetFormatError(f"{path}: dims[3] is {dims[3]}, not 0")
     fields = _record_fields(task, dims)

@@ -6,10 +6,12 @@ client does hold it, so any one client can derive every pair key and strip
 the other clients' masks from their uploads: the masks can hide updates
 at most from a server that colludes with no client.
 
-If the measured QBER reaches the abort threshold the round is consumed
-with the global model frozen: no training, no key material used, no bytes
-moved.  Otherwise every client trains locally, masks its upload (in the
-masked modes) and the server averages.
+If the measured QBER reaches the abort threshold, or the session's final
+key is shorter than the masks' round seed (MIN_ROUND_SEED_BITS; a key is
+never stretched), the round is consumed with the global model frozen: no
+training, no key material used, no bytes moved.  Otherwise every client
+trains locally, masks its upload (in the masked modes) and the server
+averages.
 
 Aggregation modes:
     plain        uploads are the raw local parameters
@@ -268,7 +270,7 @@ def run_round(
         session = run_bb84(bb84)
         qber, sifted_len, final_len = session.qber, session.sifted_len, session.final_len
         session_key = session.key
-        if session.qber >= cfg.qber_threshold:
+        if session.qber >= cfg.qber_threshold or session.final_len < MIN_ROUND_SEED_BITS:
             status = STATUS_ABORTED
 
     # An aborted round keeps the global model and moves no bytes.

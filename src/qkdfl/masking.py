@@ -133,23 +133,6 @@ def mask_keystream(key_bits: np.ndarray, tensor_ordinal: int, num_bits: int) -> 
     return sha256_expand_bits(prefix, num_bits)
 
 
-def bits_to_mask(
-    key_bits: np.ndarray,
-    shape: tuple[int, ...],
-    tensor_ordinal: int,
-    gamma: float,
-) -> np.ndarray:
-    """A +/-gamma tensor of the given shape, read from the pair key's keystream."""
-    key = as_bit_array(key_bits)
-    if key.size == 0:
-        raise ValueError("key_bits must be nonempty")
-    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if n < 1:
-        raise ValueError(f"mask shape {shape} has no elements")
-    stream = mask_keystream(key, tensor_ordinal, n)
-    return signs_from_bits(stream, gamma).reshape(shape)
-
-
 def pair_mask_sum(pv: ParamVec, client_index: int, ctx: MaskingContext) -> ParamVec:
     """Signed sum of all pair masks for one client, laid out like `pv`.
 

@@ -16,18 +16,12 @@ noise level does not perturb the other draws.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import as_bit_array, pack_bits, random_bits, sha256_expand_bits
 from .errors import DegenerateSessionError
-
-logger = logging.getLogger(__name__)
-
-# Final keys never shrink below this, regardless of the amplification ratio.
-MIN_FINAL_KEY_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -61,10 +55,6 @@ class QkdSession:
     qber: float
 
 
-def final_key_len(pa_ratio: float, sifted_len: int) -> int:
-    return max(MIN_FINAL_KEY_BITS, int(pa_ratio * sifted_len))
-
-
 def qber_of(alice_bits, bob_bits, sift_mask) -> float:
     """Mismatch fraction between the two bit strings over the sifted positions.
 
@@ -82,28 +72,20 @@ def qber_of(alice_bits, bob_bits, sift_mask) -> float:
 
 
 def privacy_amplify(sifted_bits, final_len: int) -> np.ndarray:
-    """Compress/expand sifted bits into `final_len` key bits.
+    """Hash sifted bits into `final_len` key bits (empty when final_len is 0).
 
     Layout (test-vector contract): the output is the first
     ceil(final_len/8) bytes of SHA-256(sifted_bytes || LE64(counter)) for
     counter = 0, 1, ..., truncated to final_len bits; sifted_bytes packs
     the input MSB-first.  Sifted values other than 0/1 are a ValueError.
+    The layout can stretch; `run_bb84` never asks for more than was sifted.
     """
     sifted = np.asarray(sifted_bits)
     if sifted.size == 0:
         raise ValueError("sifted_bits must be nonempty")
-    if final_len < 1:
-        raise ValueError("final_len must be >= 1")
-    packed = pack_bits(sifted)  # validates the bits
-    if final_len > sifted.size:
-        # Possible via the MIN_FINAL_KEY_BITS floor on very short sifted keys;
-        # the expansion is not information-theoretically sound in that regime.
-        logger.warning(
-            "privacy amplification expanding %d sifted bits to %d output bits",
-            sifted.size,
-            final_len,
-        )
-    return sha256_expand_bits(packed, final_len)
+    if final_len < 0:
+        raise ValueError("final_len must be >= 0")
+    return sha256_expand_bits(pack_bits(sifted), final_len)  # pack_bits validates
 
 
 def run_bb84(cfg: BB84Config) -> QkdSession:
@@ -144,6 +126,6 @@ def run_bb84(cfg: BB84Config) -> QkdSession:
         )
 
     qber = qber_of(alice_bits, bob_bits, sift_mask)
-    flen = final_key_len(cfg.pa_ratio, sifted_len)
+    flen = int(cfg.pa_ratio * sifted_len)  # never more than was sifted
     key = privacy_amplify(bob_bits[sift_mask], flen)
     return QkdSession(key=key, sifted_len=sifted_len, final_len=flen, qber=qber)

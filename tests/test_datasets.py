@@ -225,6 +225,30 @@ class TestContainer:
         with pytest.raises(DatasetFormatError, match=f"junk.qfds: .*{message}"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("channels", [slice(0, 1), slice(0, 2), [0, 1, 2, 0], 0])
+    def test_radar_channel_count_rejected_before_writing(self, tmp_path, channels):
+        samples = [
+            RadarSample(spectrogram=s.spectrogram[..., channels], labels=s.labels)
+            for s in gen_radar_dataset(2, size=16, seed=20)
+        ]
+        with pytest.raises(ValueError, match="sample 0 .*RadarSample"):
+            save_dataset(tmp_path / "depth.qfds", samples)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_radar_channel_count_on_load(self, tmp_path, depth):
+        # A radar container whose records really hold `depth` channels, so
+        # only the header's dims[2] is wrong.
+        record = np.dtype(
+            [("spectrogram", "<f4", (16, 16, depth)), ("labels", "u1", (16, 16))]
+        )
+        header = struct.Struct("<4sHBBIIIII").pack(b"QFDS", 1, 1, 0, 2, 16, 16, depth, 0)
+        path = tmp_path / "depth.qfds"
+        path.write_bytes(header + np.zeros(2, dtype=record).tobytes())
+        message = rf"depth.qfds: radar dims\[2\] is {depth}, not 3"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(path)
+
     @pytest.mark.parametrize("bad", [-300, 4, 255, 1.5])
     def test_radar_labels_out_of_range_rejected_before_writing(self, tmp_path, bad):
         samples = gen_radar_dataset(2, size=16, seed=18)

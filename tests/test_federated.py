@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkdfl.params as pvops
 from qkdfl import federated
@@ -19,7 +21,8 @@ from qkdfl.federated import (
     run_training,
 )
 from qkdfl.models import ModelSpec, init_params
-from qkdfl.qkd import BB84Config
+from qkdfl.masking import MIN_ROUND_SEED_BITS
+from qkdfl.qkd import BB84Config, QkdSession
 
 CHANNEL_SPEC = ModelSpec(task="channel", init_seed=0)
 
@@ -86,6 +89,21 @@ class TestPartition:
         with pytest.raises(ValueError, match="skew"):
             partition_non_iid(list(range(8)), 2, skew=skew, seed=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 200),
+        skew=st.floats(0.0, 1e6, exclude_min=True) | st.just(np.inf),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_disjoint_covering_nonempty_deterministic(self, data, n, skew, seed):
+        k = data.draw(st.integers(1, n))
+        shards = partition_non_iid(list(range(n)), k, skew=skew, seed=seed)
+        assert len(shards) == k
+        assert all(shards)
+        assert sorted(x for shard in shards for x in shard) == list(range(n))
+        assert partition_non_iid(list(range(n)), k, skew=skew, seed=seed) == shards
+
     def test_feature_skew_orders_shards(self):
         # contiguous feature blocks: shard means must be strictly ordered
         data = gen_channel_dataset(40, snr_db=10.0, dims=(16, 14), seed=5)
@@ -114,6 +132,34 @@ class TestRunRound:
         assert report.leakage == []
         for (_, a), (_, b) in zip(new_pv.entries, pv.entries):
             assert (a == b).all()
+
+    @pytest.mark.parametrize(
+        "bb84",
+        [BB84Config(raw_len=300), BB84Config(raw_len=64, pa_ratio=0.01)],
+        ids=["raw300", "empty-key"],
+    )
+    def test_short_key_aborts_and_freezes_model(self, bb84):
+        # A clean channel, but the key is shorter than the 256-bit round seed.
+        shards, val = channel_setup()
+        pv = init_params(CHANNEL_SPEC)
+        new_pv, report = run_round(pv, shards, make_cfg("qkd_sa", bb84=bb84), val)
+        assert report.status == STATUS_ABORTED
+        assert report.qber < 0.08
+        assert report.final_len < MIN_ROUND_SEED_BITS
+        assert report.bytes_down == 0 and report.bytes_up == 0
+        assert new_pv.buf.tobytes() == pv.buf.tobytes()
+
+    @pytest.mark.parametrize(
+        "final_len,status",
+        [(MIN_ROUND_SEED_BITS - 1, STATUS_ABORTED), (MIN_ROUND_SEED_BITS, STATUS_SECURE)],
+    )
+    def test_round_seed_length_is_the_abort_bound(self, monkeypatch, final_len, status):
+        key = np.ones(final_len, dtype=np.uint8)
+        session = QkdSession(key=key, sifted_len=1000, final_len=final_len, qber=0.0)
+        monkeypatch.setattr(federated, "run_bb84", lambda cfg: session)
+        shards, _ = channel_setup()
+        _, report = run_round(init_params(CHANNEL_SPEC), shards, make_cfg("qkd_sa"))
+        assert report.status == status
 
     def test_only_qkd_mode_aborts(self):
         shards, _ = channel_setup()

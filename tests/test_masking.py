@@ -24,7 +24,6 @@ from qkdfl.masking import (
     MaskingContext,
     aggregate,
     apply_pairwise_masks,
-    bits_to_mask,
     derive_pair_key,
     leakage_proxies,
     mask_keystream,
@@ -92,6 +91,8 @@ class TestDerivePairKey:
 
 
 class TestBitsToMask:
+    """Pair key -> mask values: `mask_keystream`, then `signs_from_bits`."""
+
     def test_sign_mapping(self):
         # keystream bit 1 -> +gamma, 0 -> -gamma
         gamma = 1e-3
@@ -102,21 +103,18 @@ class TestBitsToMask:
 
     def test_values_and_shape(self):
         key = derive_pair_key(make_ctx(), 0, 1)
-        m = bits_to_mask(key, (3, 4), tensor_ordinal=2, gamma=1e-3)
+        stream = mask_keystream(key, tensor_ordinal=2, num_bits=12)
+        m = signs_from_bits(stream.reshape(3, 4), 1e-3)
         assert m.shape == (3, 4)
         assert set(np.unique(np.abs(m))) == {1e-3}
 
     def test_deterministic(self):
         key = derive_pair_key(make_ctx(), 1, 2)
-        a = bits_to_mask(key, (7,), 0, 1e-3)
-        b = bits_to_mask(key, (7,), 0, 1e-3)
-        assert (a == b).all()
+        assert (mask_keystream(key, 0, 7) == mask_keystream(key.copy(), 0, 7)).all()
 
     def test_ordinal_varies_stream(self):
         key = derive_pair_key(make_ctx(), 1, 2)
-        a = bits_to_mask(key, (64,), 0, 1e-3)
-        b = bits_to_mask(key, (64,), 1, 1e-3)
-        assert (a != b).any()
+        assert (mask_keystream(key, 0, 64) != mask_keystream(key, 1, 64)).any()
 
     def test_rejects_non_bits(self):
         for bad in ([0, 2], [-1, 1], [0.5], [np.nan]):
@@ -138,17 +136,16 @@ class TestBitsToMask:
 
     @pytest.mark.parametrize("key", [[0.5, 1.7, 1.0], [256, 257], [0, 2], [-1, 1], [np.nan]])
     def test_rejects_non_bit_keys(self, key):
-        # A uint8 cast used to turn [0.5, 1.7, 1.0] into [0, 1, 1] and wrap
+        # A uint8 cast would turn [0.5, 1.7, 1.0] into [0, 1, 1] and wrap
         # [256, 257] to [0, 1], giving a mask from the wrong key.
         with pytest.raises(ValueError):
-            bits_to_mask(np.array(key), (4,), tensor_ordinal=0, gamma=1e-3)
+            mask_keystream(np.array(key), tensor_ordinal=0, num_bits=4)
 
     @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
     def test_accepts_bit_keys_of_any_dtype(self, dtype):
         key = derive_pair_key(make_ctx(), 0, 1)
-        want = bits_to_mask(key, (9,), 3, 1e-3)
-        got = bits_to_mask(key.astype(dtype), (9,), 3, 1e-3)
-        assert got.tobytes() == want.tobytes()
+        want = mask_keystream(key, 3, 9)
+        assert (mask_keystream(key.astype(dtype), 3, 9) == want).all()
 
 
 GAMMAS = (0.0, -0.0, 5e-324, 3.7e-5, 1e-3, 1e308)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdfl.errors import DegenerateSessionError
-from qkdfl.qkd import BB84Config, final_key_len, privacy_amplify, qber_of, run_bb84
+from qkdfl.qkd import BB84Config, privacy_amplify, qber_of, run_bb84
 
 
 def pooled_qber(configs):
@@ -104,7 +106,6 @@ class TestPrivacyAmplify:
         sifted = rng.integers(0, 2, 1000, dtype=np.uint8)
         out = privacy_amplify(sifted, 800)
         assert out.size == 800
-        assert final_key_len(0.8, 1000) == 800
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -131,6 +132,12 @@ class TestPrivacyAmplify:
         out = privacy_amplify(np.array([1], dtype=np.uint8), 256)
         assert out.size == 256
 
+    def test_zero_length_is_an_empty_key(self):
+        out = privacy_amplify(np.array([1, 0, 1], dtype=np.uint8), 0)
+        assert out.size == 0
+        with pytest.raises(ValueError, match="final_len"):
+            privacy_amplify(np.array([1, 0, 1], dtype=np.uint8), -1)
+
 
 class TestRunBB84:
     def test_clean_channel_zero_qber_every_seed(self):
@@ -142,8 +149,26 @@ class TestRunBB84:
         for seed in (0, 1, 2):
             for ratio in (0.5, 0.8, 1.0):
                 s = run_bb84(BB84Config(rng_seed=seed, pa_ratio=ratio))
-                assert s.final_len == max(256, int(ratio * s.sifted_len))
+                assert s.final_len == int(ratio * s.sifted_len)
                 assert s.key.size == s.final_len
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        raw_len=st.integers(64, 3000),
+        ratio=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_final_key_never_longer_than_sifted(self, seed, raw_len, ratio):
+        s = run_bb84(BB84Config(raw_len=raw_len, pa_ratio=ratio, rng_seed=seed))
+        assert s.final_len <= s.sifted_len
+        assert s.key.size == s.final_len
+
+    def test_short_session_gives_an_empty_key(self):
+        # 64 raw qubits sift to about 32 bits, and 1% of that rounds to 0.
+        s = run_bb84(BB84Config(raw_len=64, pa_ratio=0.01, rng_seed=0))
+        assert 0 < s.sifted_len < 100
+        assert s.final_len == 0
+        assert s.key.size == 0
 
     def test_sifted_len_single_seed_bound(self):
         # Binomial(l, 1/2): any one draw within 3 standard deviations
