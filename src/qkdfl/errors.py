@@ -26,7 +26,7 @@ class UndefinedProxyError(QkdflError):
 
 
 class DivergenceError(QkdflError):
-    """Local training produced a non-finite loss."""
+    """Local training produced a non-finite loss, or a masked aggregate is not finite."""
 
 
 class ConfigError(QkdflError):

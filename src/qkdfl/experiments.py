@@ -107,27 +107,24 @@ class ExperimentConfig:
     epochs: int = 3
     batch_size: int = 16
     learning_rate: float = 1e-3
-    qber_threshold: float = 0.08
-    mask_scale: float = 1e-3
-    key_bits: int = 256
-    raw_key_len: int = 2000
-    pa_ratio: float = 0.8
-    depolarize_prob: float = 0.0
+    qber_threshold: float = RoundConfig.qber_threshold
+    mask_scale: float = RoundConfig.mask_scale
+    raw_key_len: int = BB84Config.raw_len
+    pa_ratio: float = BB84Config.pa_ratio
     train_samples: int = 96
     val_samples: int = 32
     snr_db: float = 10.0
     channel_dims: tuple[int, int] = (48, 14)
     radar_size: int = 32
-    channel_widths: tuple[int, int] = (12, 8)
-    encoder_filters: tuple[int, int, int] = (8, 16, 32)
-    bottleneck_filters: int = 64
+    channel_widths: tuple[int, int] = ModelSpec.channel_widths
+    encoder_filters: tuple[int, int, int] = ModelSpec.encoder_filters
+    bottleneck_filters: int = ModelSpec.bottleneck_filters
     partition_skew: float = 1.0
     noise_grid: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
     sessions_per_point: int = 1000
 
-    # Per-task defaults applied when the config file omits the field.
+    # Radar defaults for omitted fields; the field defaults are channel's.
     _TASK_DEFAULTS = {
-        TASK_CHANNEL: {"batch_size": 16, "learning_rate": 1e-3},
         TASK_RADAR: {"batch_size": 4, "learning_rate": 1e-4,
                      "train_samples": 48, "val_samples": 16},
     }
@@ -222,10 +219,8 @@ class ExperimentConfig:
         check(self.learning_rate > 0, "learning_rate", "must be positive")
         check(0.0 < self.qber_threshold < 1.0, "qber_threshold", "must be in (0, 1)")
         check(self.mask_scale >= 0.0, "mask_scale", "must be non-negative")
-        check(self.key_bits >= 1, "key_bits", "must be >= 1")
         check(self.raw_key_len >= 64, "raw_key_len", "must be >= 64")
         check(0.0 < self.pa_ratio <= 1.0, "pa_ratio", "must be in (0, 1]")
-        check(0.0 <= self.depolarize_prob <= 1.0, "depolarize_prob", "must be in [0, 1]")
         check(self.train_samples >= max(self.clients), "train_samples",
               "must cover the largest client count")
         check(self.val_samples >= 1, "val_samples", "must be >= 1")
@@ -266,7 +261,6 @@ class ExperimentConfig:
         return BB84Config(
             raw_len=self.raw_key_len,
             pa_ratio=self.pa_ratio,
-            depolarize_prob=self.depolarize_prob,
             eve_present=eve,
         )
 
@@ -297,7 +291,6 @@ class ExperimentConfig:
             qber_threshold=self.qber_threshold,
             bb84=self.bb84_template(eve),
             mask_scale=self.mask_scale,
-            key_bits=self.key_bits,
         )
 
 

@@ -7,7 +7,7 @@ the other clients' masks from their uploads: the masks can hide updates
 at most from a server that colludes with no client.
 
 If the measured QBER reaches the abort threshold, or the session's final
-key is shorter than the masks' round seed (MIN_ROUND_SEED_BITS; a key is
+key is shorter than one pair key (masking.KEY_BITS = 256 bits; a key is
 never stretched), the round is consumed with the global model frozen: no
 training, no key material used, no bytes moved.  Otherwise every client
 trains locally, masks its upload (in the masked modes) and the server
@@ -15,7 +15,7 @@ averages.
 
 Aggregation modes:
     plain        uploads are the raw local parameters
-    classical_sa pairwise masking, round seed from a seeded classical PRG
+    classical_sa pairwise masking, round seed of KEY_BITS from a seeded PRG
     qkd_sa       pairwise masking, round seed from the BB84 session key
 
 All per-round and per-client randomness is derived from one master seed
@@ -49,7 +49,8 @@ from .bits import random_bits
 from .datasets import ChannelSample, RadarSample
 from .errors import UndefinedProxyError
 from .masking import (
-    MIN_ROUND_SEED_BITS,
+    DEFAULT_MASK_SCALE,
+    KEY_BITS,
     MaskingContext,
     aggregate,
     apply_pairwise_masks,
@@ -102,8 +103,7 @@ class RoundConfig:
     round_index: int = 0
     qber_threshold: float = 0.08
     bb84: BB84Config = field(default_factory=BB84Config)
-    mask_scale: float = 1e-3
-    key_bits: int = 256
+    mask_scale: float = DEFAULT_MASK_SCALE
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -181,7 +181,7 @@ def _round_seed_bits(cfg: RoundConfig, session_key: np.ndarray | None) -> np.nda
     prg = np.random.default_rng(
         derive_seed(cfg.master_seed, cfg.round_index, _TAG_ROUND_KEY)
     )
-    return random_bits(prg, MIN_ROUND_SEED_BITS)
+    return random_bits(prg, KEY_BITS)
 
 
 def _train_clients(
@@ -270,7 +270,7 @@ def run_round(
         session = run_bb84(bb84)
         qber, sifted_len, final_len = session.qber, session.sifted_len, session.final_len
         session_key = session.key
-        if session.qber >= cfg.qber_threshold or session.final_len < MIN_ROUND_SEED_BITS:
+        if session.qber >= cfg.qber_threshold or session.final_len < KEY_BITS:
             status = STATUS_ABORTED
 
     # An aborted round keeps the global model and moves no bytes.
@@ -285,7 +285,6 @@ def run_round(
                 round_index=cfg.round_index,
                 num_clients=cfg.num_clients,
                 mask_scale=cfg.mask_scale,
-                key_bits=cfg.key_bits,
             )
             masked = [
                 apply_pairwise_masks(updates[k], k, ctx) for k in range(cfg.num_clients)

@@ -1,14 +1,14 @@
 """Pairwise additive masking seeded from a per-round key.
 
-Every ordered client pair (i, j) shares one symmetric key derived from the
-round seed, so client i adds the pair mask when i < j and subtracts it when
-i > j; the masks cancel exactly in the sum of all K uploads and the server
-only ever learns the aggregate.
+Every ordered client pair (i, j) shares one symmetric KEY_BITS-bit key
+derived from the round seed, so client i adds the pair mask when i < j and
+subtracts it when i > j; the masks cancel exactly in the sum of all K
+uploads and the server only ever learns the aggregate.
 
 Key schedule (test-vector contracts, see tests/golden):
 
-    pair key   = first L bits of SHA-256 counter-mode over
-                 seed_bytes || LE64(round) || LE64(min(i,j)) || LE64(max(i,j))
+    pair key   = SHA-256(seed_bytes || LE64(round) || LE64(min(i,j)) || LE64(max(i,j))
+                 || LE64(0)): KEY_BITS = 256 bits, counter-mode block 0
     mask block = SHA-256(pair_key_bytes || LE64(tensor_ordinal) || LE64(block))
 
 Mask bits are consumed MSB-first and mapped 1 -> +gamma, 0 -> -gamma.
@@ -49,14 +49,15 @@ from . import params as pvops
 from .bits import as_bit_array, le64, pack_bits, sha256_expand_bits
 from .errors import (
     AggregationShapeError,
+    DivergenceError,
     InvalidPairError,
     ProtocolError,
     UndefinedProxyError,
 )
 from .params import ParamVec
 
-MIN_ROUND_SEED_BITS = 256
-DEFAULT_PAIR_KEY_BITS = 256
+# Width of a pair key, and the shortest round seed that may key the masks.
+KEY_BITS = 256
 DEFAULT_MASK_SCALE = 1e-3
 
 
@@ -68,7 +69,6 @@ class MaskingContext:
     round_index: int
     num_clients: int
     mask_scale: float = DEFAULT_MASK_SCALE
-    key_bits: int = DEFAULT_PAIR_KEY_BITS
     # (lo, hi, tensor sizes) -> the pair's whole keystream, packed, parked by
     # the first end of the pair to mask and popped by the second.
     _pending_streams: dict = field(
@@ -81,10 +81,8 @@ class MaskingContext:
         except ValueError:
             raise ValueError("round_seed must hold only 0/1 bits") from None
         object.__setattr__(self, "round_seed", seed)
-        if seed.size < MIN_ROUND_SEED_BITS:
-            raise ValueError(
-                f"round_seed must be >= {MIN_ROUND_SEED_BITS} bits, got {seed.size}"
-            )
+        if seed.size < KEY_BITS:
+            raise ValueError(f"round_seed must be >= {KEY_BITS} bits, got {seed.size}")
         if self.num_clients < 2:
             raise ValueError("num_clients must be >= 2 for pairwise masking")
         if self.round_index < 0:
@@ -92,8 +90,6 @@ class MaskingContext:
         # gamma = 0 is allowed as a degenerate diagnostic mode (masks vanish).
         if not (math.isfinite(self.mask_scale) and self.mask_scale >= 0):
             raise ValueError("mask_scale must be finite and non-negative")
-        if self.key_bits < 1:
-            raise ValueError("key_bits must be >= 1")
 
 
 @dataclass
@@ -117,7 +113,7 @@ def derive_pair_key(ctx: MaskingContext, i: int, j: int) -> np.ndarray:
             )
     lo, hi = min(i, j), max(i, j)
     prefix = pack_bits(ctx.round_seed) + le64(ctx.round_index) + le64(lo) + le64(hi)
-    return sha256_expand_bits(prefix, ctx.key_bits)
+    return sha256_expand_bits(prefix, KEY_BITS)
 
 
 def signs_from_bits(stream_bits: np.ndarray, gamma: float) -> np.ndarray:
@@ -189,7 +185,9 @@ def apply_pairwise_masks(
         )
     if not pv.all_finite():
         raise ValueError("parameters must be finite before masking")
-    masked = pvops.add(pv, pair_mask_sum(pv, client_index, ctx))
+    # A large enough gamma overflows to +/-inf here; aggregate rejects the mean.
+    with np.errstate(over="ignore"):
+        masked = pvops.add(pv, pair_mask_sum(pv, client_index, ctx))
     return MaskedUpdate(
         client_index=client_index,
         round_index=ctx.round_index,
@@ -203,7 +201,9 @@ def aggregate(masked: list[MaskedUpdate]) -> ParamVec:
 
     Pair masks cancel only in the sum of all K uploads, and there is no
     dropout recovery, so a batch that is not exactly clients 0..K-1 of one
-    K is a ProtocolError rather than a silently wrong mean.
+    K is a ProtocolError rather than a silently wrong mean.  A mean that
+    is not finite (gamma so large that a mask or the running sum overflows)
+    is a DivergenceError.
     """
     if len(masked) < 2:
         raise AggregationShapeError("aggregation needs at least two masked updates")
@@ -232,7 +232,14 @@ def aggregate(masked: list[MaskedUpdate]) -> ParamVec:
             )
     # Canonical summation order makes the result independent of list order.
     ordered = sorted(masked, key=lambda m: m.client_index)
-    return pvops.mean([m.params for m in ordered])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        mean = pvops.mean([m.params for m in ordered])
+    if not mean.all_finite():
+        raise DivergenceError(
+            f"the mean of the K = {k} masked uploads is not finite: an upload or "
+            "the running sum left the float64 range (is mask_scale too large?)"
+        )
+    return mean
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

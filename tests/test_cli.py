@@ -54,6 +54,15 @@ class TestRunVerb:
         assert (out / "manifest.json").exists()
         assert "run complete" in capsys.readouterr().out
 
+    def test_overflowing_aggregate_is_runtime_failure(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, clients=[3], modes=["qkd_sa"], mask_scale=1e308)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write_cfg(tmp_path)
         main(["run", str(cfg), "--out", str(tmp_path / "a")])
@@ -174,7 +183,7 @@ class TestValidateVerb:
             ({"eve": "no"}, "eve"),
             ({"rounds": 2.5}, "rounds"),
             ({"rounds": "5"}, "rounds"),
-            ({"key_bits": 1.5}, "key_bits"),
+            ({"raw_key_len": 1.5}, "raw_key_len"),
             ({"epochs": True}, "epochs"),
             ({"mask_scale": None}, "mask_scale"),
             ({"noise_grid": ["a"]}, "noise_grid[0]"),
@@ -195,6 +204,7 @@ class TestValidateVerb:
         assert field in err and "Traceback" not in err
 
     def test_unknown_field_reported(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, typo_field=1)
-        assert main(["validate", str(cfg)]) == 1
-        assert "typo_field" in capsys.readouterr().err
+        for field, value in (("typo_field", 1), ("key_bits", 256), ("depolarize_prob", 0.0)):
+            cfg = write_cfg(tmp_path, **{field: value})
+            assert main(["validate", str(cfg)]) == 1
+            assert f"{field}: unknown field" in capsys.readouterr().err

@@ -62,7 +62,7 @@ class TestConfig:
             ({"eve": 1}, r"config\.eve"),
             ({"rounds": 2.5}, r"config\.rounds"),
             ({"rounds": "5"}, r"config\.rounds"),
-            ({"key_bits": 1.5}, r"config\.key_bits"),
+            ({"raw_key_len": 1.5}, r"config\.raw_key_len"),
             ({"epochs": True}, r"config\.epochs"),
             ({"mask_scale": None}, r"config\.mask_scale"),
             ({"learning_rate": True}, r"config\.learning_rate"),
@@ -80,7 +80,7 @@ class TestConfig:
             ({"learning_rate": 10**400}, r"config\.learning_rate: must fit in a float"),
             ({"snr_db": -(10**400)}, r"config\.snr_db: must fit in a float"),
             ({"partition_skew": 10**400}, r"config\.partition_skew: must fit in a float"),
-            ({"depolarize_prob": 10**309}, r"config\.depolarize_prob: must fit in a float"),
+            ({"pa_ratio": 10**309}, r"config\.pa_ratio: must fit in a float"),
         ],
     )
     def test_bad_model_or_seed_field_named(self, overrides, field):

@@ -21,7 +21,7 @@ from qkdfl.federated import (
     run_training,
 )
 from qkdfl.models import ModelSpec, init_params
-from qkdfl.masking import MIN_ROUND_SEED_BITS
+from qkdfl.masking import KEY_BITS
 from qkdfl.qkd import BB84Config, QkdSession
 
 CHANNEL_SPEC = ModelSpec(task="channel", init_seed=0)
@@ -145,13 +145,13 @@ class TestRunRound:
         new_pv, report = run_round(pv, shards, make_cfg("qkd_sa", bb84=bb84), val)
         assert report.status == STATUS_ABORTED
         assert report.qber < 0.08
-        assert report.final_len < MIN_ROUND_SEED_BITS
+        assert report.final_len < KEY_BITS
         assert report.bytes_down == 0 and report.bytes_up == 0
         assert new_pv.buf.tobytes() == pv.buf.tobytes()
 
     @pytest.mark.parametrize(
         "final_len,status",
-        [(MIN_ROUND_SEED_BITS - 1, STATUS_ABORTED), (MIN_ROUND_SEED_BITS, STATUS_SECURE)],
+        [(KEY_BITS - 1, STATUS_ABORTED), (KEY_BITS, STATUS_SECURE)],
     )
     def test_round_seed_length_is_the_abort_bound(self, monkeypatch, final_len, status):
         key = np.ones(final_len, dtype=np.uint8)

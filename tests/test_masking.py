@@ -15,6 +15,7 @@ import qkdfl.params as pvops
 from qkdfl.bits import sha256_expand_bytes
 from qkdfl.errors import (
     AggregationShapeError,
+    DivergenceError,
     InvalidPairError,
     ProtocolError,
     UndefinedProxyError,
@@ -87,7 +88,8 @@ class TestDerivePairKey:
             derive_pair_key(make_ctx(num_clients=3), 0, 3)
 
     def test_key_length(self):
-        assert derive_pair_key(make_ctx(key_bits=128), 0, 1).size == 128
+        assert masking.KEY_BITS == 256
+        assert derive_pair_key(make_ctx(), 0, 1).size == masking.KEY_BITS
 
 
 class TestBitsToMask:
@@ -241,9 +243,9 @@ class TestGoldenVectors:
                 round_seed=bits_from_str(vec["round_seed_bits"]),
                 round_index=vec["round_index"],
                 num_clients=8,
-                key_bits=vec["key_bits_len"],
             )
-            key = derive_pair_key(ctx, vec["i"], vec["j"])
+            # A shorter golden key is pinned as a prefix of the KEY_BITS key.
+            key = derive_pair_key(ctx, vec["i"], vec["j"])[: vec["key_bits_len"]]
             assert (key == bits_from_str(vec["key_bits"])).all()
 
     def test_mask_keystream_vectors(self):
@@ -507,6 +509,22 @@ class TestAggregate:
         third = apply_pairwise_masks(pv, 2, make_ctx(num_clients=3))
         with pytest.raises(ProtocolError):
             aggregate(pair + [third])
+
+    @pytest.mark.parametrize(
+        "k,gamma",
+        [(3, 1e308), (4, 5.9e307), (20, 9e306)],
+        ids=["mask-overflows", "sum-overflows-k4", "sum-overflows-k20"],
+    )
+    def test_non_finite_mean_is_divergence(self, k, gamma):
+        # At K = 3 a mask of 2 * gamma is already inf; at K = 4 and K = 20
+        # every mask is finite and only the running sum of the uploads is not.
+        rng = np.random.default_rng(12)
+        batch = self.masked_batch(
+            [random_pv(rng) for _ in range(k)], make_ctx(num_clients=k, mask_scale=gamma)
+        )
+        assert all(m.params.all_finite() for m in batch) == (k > 3)
+        with pytest.raises(DivergenceError, match="not finite"):
+            aggregate(batch)
 
 
 class TestPairStreamMemo:
