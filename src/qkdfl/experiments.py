@@ -219,6 +219,11 @@ class ExperimentConfig:
         check(self.learning_rate > 0, "learning_rate", "must be positive")
         check(0.0 < self.qber_threshold < 1.0, "qber_threshold", "must be in (0, 1)")
         check(self.mask_scale >= 0.0, "mask_scale", "must be non-negative")
+        if self.experiment != "C":  # C runs no masked rounds
+            # K masked uploads sum to at most K·(K − 1)·γ in magnitude.
+            k = max(self.clients)
+            check(math.isfinite(float(self.mask_scale) * k * (k - 1)), "mask_scale",
+                  f"K·(K − 1)·mask_scale must be finite at K = {k}")
         check(self.raw_key_len >= 64, "raw_key_len", "must be >= 64")
         check(0.0 < self.pa_ratio <= 1.0, "pa_ratio", "must be in (0, 1]")
         check(self.train_samples >= max(self.clients), "train_samples",

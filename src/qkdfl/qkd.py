@@ -10,17 +10,22 @@ giving a matched-basis error rate of eta/2).  Eve acts before the noise.
 
 A session is a pure function of its config: every random choice comes
 from one of five labeled substreams (Alice bits, Alice bases, Eve, noise,
-Bob) spawned from the session seed, so toggling the eavesdropper or the
-noise level does not perturb the other draws.
+Bob), child i of `SeedSequence(rng_seed).spawn(5)`, so toggling the
+eavesdropper or the noise level does not perturb the other draws.  Each
+substream is a bare PCG64 read as raw 64-bit words (`substream_draws`),
+which gives exactly what `default_rng` on that child would give, and is
+built only when a draw needs it: Eve's when she is present, the noise
+stream when eta > 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bit_array, pack_bits, random_bits, sha256_expand_bits
+from .bits import as_bit_array, pack_bits, sha256_expand_bits
 from .errors import DegenerateSessionError
 
 
@@ -88,38 +93,59 @@ def privacy_amplify(sifted_bits, final_len: int) -> np.ndarray:
     return sha256_expand_bits(pack_bits(sifted), final_len)  # pack_bits validates
 
 
+# Substream labels: child i of the session's SeedSequence.
+ALICE_BITS, ALICE_BASES, EVE, NOISE, BOB = range(5)
+
+
+def substream_draws(seed: int, stream: int, n: int, draws: int, uniforms: int = 0):
+    """Substream `stream` of `seed`, read as `uniforms` uniforms then `draws` rows of n bits.
+
+    Returns (k, bits) as a fresh `default_rng(SeedSequence(seed).spawn(5)[stream])`
+    would draw them: k · 2**-53 equals `Generator.random(uniforms)`, and
+    row r of the (draws, n) uint8 array equals the r-th following call of
+    `Generator.integers(0, 2, n, dtype=np.uint8)`.  A uniform is the top
+    53 bits of one 64-bit word.  A bit draw starts at a fresh 32-bit word
+    and takes the top bit of each byte, low byte first; a 64-bit word
+    yields its low 32-bit half first.
+    """
+    stride = 4 * -(-n // 4)  # bytes in ceil(n / 4) 32-bit words
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))
+    # The byte view below reads each word low byte first on any host.
+    words = bitgen.random_raw(uniforms + -(-stride * draws // 8)).astype("<u8", copy=False)
+    rows = words[uniforms:].view(np.uint8)[: stride * draws].reshape(draws, stride)
+    return words[:uniforms] >> 11, rows[:, :n] >> 7
+
+
 def run_bb84(cfg: BB84Config) -> QkdSession:
     """Run one session: prepare, attack/noise, measure, sift, estimate, amplify."""
-    n = cfg.raw_len
-    streams = [
-        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.rng_seed).spawn(5)
-    ]
-    rng_bits, rng_bases, rng_eve, rng_noise, rng_bob = streams
-
-    alice_bits = random_bits(rng_bits, n)
-    alice_bases = random_bits(rng_bases, n)
+    n, seed = cfg.raw_len, cfg.rng_seed
+    # The selections below act on 0/1 uint8 arrays: b ^ ((a ^ b) & c) is a
+    # where c is 1 and b where c is 0.
+    alice_bits = substream_draws(seed, ALICE_BITS, n, 1)[1][0]
+    alice_bases = substream_draws(seed, ALICE_BASES, n, 1)[1][0]
 
     # The qubit in flight, as (bit, basis) in its own preparation basis.
     state_bits, state_bases = alice_bits, alice_bases
 
     if cfg.eve_present:
-        eve_bases = random_bits(rng_eve, n)
-        eve_coins = random_bits(rng_eve, n)
-        eve_outcomes = np.where(eve_bases == state_bases, state_bits, eve_coins)
-        state_bits, state_bases = eve_outcomes, eve_bases
+        eve_bases, eve_coins = substream_draws(seed, EVE, n, 2)[1]
+        # A basis mismatch reads a coin flip.
+        state_bits = state_bits ^ ((state_bits ^ eve_coins) & (eve_bases ^ state_bases))
+        state_bases = eve_bases
 
-    # Depolarizing noise: replace the in-flight bit with a uniform draw.
-    # Both arrays are always consumed so the stream layout is eta-independent.
-    replace = rng_noise.random(n) < cfg.depolarize_prob
-    noise_bits = random_bits(rng_noise, n)
-    state_bits = np.where(replace, noise_bits, state_bits)
+    # Depolarizing noise: replace the in-flight bit with a uniform draw
+    # where the uniform k · 2**-53 is below eta, that is where the integer
+    # k is below ceil(eta · 2**53).  At eta = 0 nothing is replaced.
+    if cfg.depolarize_prob > 0:
+        k, (noise_bits,) = substream_draws(seed, NOISE, n, 1, uniforms=n)
+        replace = (k < math.ceil(cfg.depolarize_prob * 2.0**53)).view(np.uint8)
+        state_bits = state_bits ^ ((state_bits ^ noise_bits) & replace)
 
-    bob_bases = random_bits(rng_bob, n)
-    bob_coins = random_bits(rng_bob, n)
-    bob_bits = np.where(bob_bases == state_bases, state_bits, bob_coins)
+    bob_bases, bob_coins = substream_draws(seed, BOB, n, 2)[1]
+    bob_bits = state_bits ^ ((state_bits ^ bob_coins) & (bob_bases ^ state_bases))
 
     sift_mask = alice_bases == bob_bases
-    sifted_len = int(sift_mask.sum())
+    sifted_len = int(np.count_nonzero(sift_mask))
     if sifted_len == 0:
         raise DegenerateSessionError(
             f"no sifted positions out of {n} raw qubits (seed {cfg.rng_seed})"

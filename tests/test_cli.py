@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qkdfl
 from qkdfl.cli import main
+from qkdfl.params import ParamVec
 
 BASE = {
     "experiment": "A",
@@ -54,13 +56,29 @@ class TestRunVerb:
         assert (out / "manifest.json").exists()
         assert "run complete" in capsys.readouterr().out
 
-    def test_overflowing_aggregate_is_runtime_failure(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, clients=[3], modes=["qkd_sa"], mask_scale=1e308)
+    def test_overflowing_aggregate_is_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        # A valid mask_scale keeps every masked sum finite, so the masks are
+        # made to overflow directly; the single cell runs in this process.
+        def overflowing_mask(pv, client_index, ctx):
+            return ParamVec.from_buffer(pv.layout, np.full(pv.flat().size, np.inf))
+
+        monkeypatch.setattr("qkdfl.masking.pair_mask_sum", overflowing_mask)
+        cfg = write_cfg(tmp_path, clients=[3], modes=["qkd_sa"])
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_overflowing_mask_scale_is_config_error(self, tmp_path, capsys, verb):
+        cfg = write_cfg(tmp_path, clients=[3], modes=["qkd_sa"], mask_scale=1e308)
+        out = tmp_path / "out"
+        argv = [verb, str(cfg)] + (["--out", str(out)] if verb == "run" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "mask_scale" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_seed_override_changes_hash(self, tmp_path):

@@ -81,6 +81,13 @@ class TestConfig:
             ({"snr_db": -(10**400)}, r"config\.snr_db: must fit in a float"),
             ({"partition_skew": 10**400}, r"config\.partition_skew: must fit in a float"),
             ({"pa_ratio": 10**309}, r"config\.pa_ratio: must fit in a float"),
+            # K masked uploads must sum to a finite K·(K − 1)·mask_scale.
+            ({"clients": [3], "mask_scale": 1e308}, r"config\.mask_scale: .* at K = 3"),
+            ({"clients": [3], "mask_scale": 10**308}, r"config\.mask_scale: .* at K = 3"),
+            ({"experiment": "B", "clients": [3], "mask_scale": 1e308},
+             r"config\.mask_scale: .* at K = 3"),
+            # K = 2 alone would pass; the largest K decides.
+            ({"clients": [2, 20], "mask_scale": 1e307}, r"config\.mask_scale: .* at K = 20"),
         ],
     )
     def test_bad_model_or_seed_field_named(self, overrides, field):
@@ -89,6 +96,16 @@ class TestConfig:
 
     def test_large_integer_float_field_allowed(self):
         assert make_cfg(learning_rate=10**300).learning_rate == 10**300
+
+    def test_mask_scale_bound_is_k_times_k_minus_one(self):
+        gamma = float(np.finfo(np.float64).max) / 380  # 380 = 20 · 19
+        assert make_cfg(clients=[20], mask_scale=gamma).mask_scale == gamma
+        with pytest.raises(ConfigError, match="mask_scale"):
+            make_cfg(clients=[20], mask_scale=gamma * 1.01)
+
+    def test_experiment_c_ignores_mask_scale(self):
+        # C runs no masked rounds, so no K bounds its mask_scale.
+        assert make_cfg(experiment="C", mask_scale=1e308).mask_scale == 1e308
 
     def test_infinite_snr_and_skew_allowed(self):
         cfg = make_cfg(snr_db=float("inf"), partition_skew=float("inf"))

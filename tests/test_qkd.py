@@ -1,10 +1,14 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdfl import qkd
 from qkdfl.errors import DegenerateSessionError
-from qkdfl.qkd import BB84Config, privacy_amplify, qber_of, run_bb84
+from qkdfl.qkd import BB84Config, privacy_amplify, qber_of, run_bb84, substream_draws
 
 
 def pooled_qber(configs):
@@ -229,15 +233,68 @@ class TestRunBB84:
 
     def test_degenerate_session_raises(self, monkeypatch):
         # force every basis pair to mismatch: Alice all-0, Bob all-1
-        import qkdfl.qkd as qkd_mod
+        def draws(seed, stream, n, rows, uniforms=0):
+            # Bob's bases and coins are all 1; every other draw is all 0.
+            bits = np.full((rows, n), stream == qkd.BOB, dtype=np.uint8)
+            return np.zeros(uniforms, dtype=np.uint64), bits
 
-        draws = iter([
-            np.zeros(64, dtype=np.uint8),  # alice bits
-            np.zeros(64, dtype=np.uint8),  # alice bases
-            np.zeros(64, dtype=np.uint8),  # noise replacement bits
-            np.ones(64, dtype=np.uint8),   # bob bases
-            np.zeros(64, dtype=np.uint8),  # bob coins
-        ])
-        monkeypatch.setattr(qkd_mod, "random_bits", lambda rng, n: next(draws))
+        monkeypatch.setattr(qkd, "substream_draws", draws)
         with pytest.raises(DegenerateSessionError):
             run_bb84(BB84Config(raw_len=64, rng_seed=0))
+
+
+# SHA-256 over (qber, sifted_len, final_len, key) of every session in
+# SESSION_GRID, taken from the spawn(5) + Generator implementation that
+# raw-word draws replaced.  A deliberate change to a session moves it.
+SESSION_GRID_DIGEST = "c838e09f41666a1878d1f9b723aeeec68051a36a9b64c15a9f5a5e03bc292a08"
+SESSION_GRID = [
+    BB84Config(raw_len=raw_len, depolarize_prob=eta, eve_present=eve, rng_seed=seed)
+    for seed in (0, 1, 7)
+    for raw_len in (64, 65, 2001, 2003, 20_000)
+    for eta in (0.0, 0.05, 0.2, 1.0)
+    for eve in (False, True)
+]
+
+
+def test_session_outputs_are_pinned():
+    h = hashlib.sha256()
+    for cfg in SESSION_GRID:
+        s = run_bb84(cfg)
+        h.update(f"{s.qber!r},{s.sifted_len},{s.final_len};".encode())
+        h.update(s.key.tobytes())
+    assert h.hexdigest() == SESSION_GRID_DIGEST
+
+
+class TestSubstreamDraws:
+    """`substream_draws` against the Generator calls it stands in for."""
+
+    @staticmethod
+    def generator(seed, stream):
+        return np.random.default_rng(np.random.SeedSequence(seed).spawn(5)[stream])
+
+    @pytest.mark.parametrize("n", [*range(64, 141), 2001, 2003, 2005, 20_000, 100_003])
+    def test_two_bit_draws(self, n):
+        # n = 65..68 and 69..72 use 17 and 18 32-bit words: odd counts start
+        # the second draw in the high half of a 64-bit word.
+        seed, stream = 20260811 + n, n % 5
+        rng = self.generator(seed, stream)
+        want = [rng.integers(0, 2, n, dtype=np.uint8) for _ in range(2)]
+        k, got = substream_draws(seed, stream, n, 2)
+        assert k.size == 0 and got.dtype == np.uint8 and got.shape == (2, n)
+        assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+
+    @pytest.mark.parametrize("n", [64, 65, 67, 131, 2001, 20_000])
+    def test_uniforms_then_bits(self, n):
+        seed = 3 * n
+        rng = self.generator(seed, qkd.NOISE)
+        u, bits = rng.random(n), rng.integers(0, 2, n, dtype=np.uint8)
+        k, (got,) = substream_draws(seed, qkd.NOISE, n, 1, uniforms=n)
+        assert (k * 2.0**-53 == u).all()
+        assert (got == bits).all()
+
+    def test_threshold_on_the_integer_matches_the_float(self):
+        # run_bb84 replaces where k < ceil(eta · 2**53) instead of k · 2**-53 < eta.
+        k, _ = substream_draws(5, qkd.NOISE, 64, 1, uniforms=20_000)
+        u = k * 2.0**-53
+        for eta in (*np.sort(u)[::997], 0.05, 0.2, 1.0, 5e-324):
+            assert ((k < math.ceil(eta * 2.0**53)) == (u < eta)).all()
