@@ -45,15 +45,6 @@ def pack_bits(bits) -> bytes:
     return np.packbits(arr).tobytes()
 
 
-def unpack_bits(data: bytes, num_bits: int) -> np.ndarray:
-    """Unpack bytes into the first `num_bits` bits, MSB-first within each byte."""
-    if num_bits < 0:
-        raise ValueError("num_bits must be non-negative")
-    if num_bits > 8 * len(data):
-        raise ValueError("not enough bytes for requested bit count")
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:num_bits]
-
-
 _LE64 = struct.Struct("<Q").pack
 
 
@@ -77,9 +68,4 @@ def sha256_expand_bytes(prefix: bytes, num_bytes: int) -> bytes:
 def sha256_expand_bits(prefix: bytes, num_bits: int) -> np.ndarray:
     """Counter-mode expansion truncated to `num_bits` bits (MSB-first)."""
     data = sha256_expand_bytes(prefix, (num_bits + 7) // 8)
-    return unpack_bits(data, num_bits)
-
-
-def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n uniform bits from a generator."""
-    return rng.integers(0, 2, size=n, dtype=np.uint8)
+    return np.unpackbits(np.frombuffer(data, np.uint8), count=num_bits)

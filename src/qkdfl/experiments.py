@@ -116,18 +116,9 @@ class ExperimentConfig:
     snr_db: float = 10.0
     channel_dims: tuple[int, int] = (48, 14)
     radar_size: int = 32
-    channel_widths: tuple[int, int] = ModelSpec.channel_widths
-    encoder_filters: tuple[int, int, int] = ModelSpec.encoder_filters
-    bottleneck_filters: int = ModelSpec.bottleneck_filters
     partition_skew: float = 1.0
     noise_grid: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
     sessions_per_point: int = 1000
-
-    # Radar defaults for omitted fields; the field defaults are channel's.
-    _TASK_DEFAULTS = {
-        TASK_RADAR: {"batch_size": 4, "learning_rate": 1e-4,
-                     "train_samples": 48, "val_samples": 16},
-    }
 
     # Float fields that may be +Infinity: noiseless data and a balanced split.
     _MAY_BE_INFINITE = ("snr_db", "partition_skew")
@@ -145,9 +136,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{source}.{required}: required field missing")
 
         merged = dict(raw)
-        for key, val in cls._TASK_DEFAULTS.get(str(merged.get("task")), {}).items():
-            merged.setdefault(key, val)
-
         tuple_fields = {f.name for f in dataclasses.fields(cls) if f.type.startswith("tuple")}
         for key in tuple_fields & set(merged):
             if not isinstance(merged[key], (list, tuple)):
@@ -179,11 +167,6 @@ class ExperimentConfig:
 
         def is_number(v) -> bool:
             return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-        def check_positive_ints(field: str, values: tuple, count: int) -> None:
-            check(len(values) == count, field, f"must have {count} entries")
-            for i, v in enumerate(values):
-                check(is_int(v) and v >= 1, f"{field}[{i}]", "must be a positive integer")
 
         check(self.experiment in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
         check(self.task in TASKS, "task", f"must be one of {TASKS}")
@@ -237,10 +220,9 @@ class ExperimentConfig:
         check(self.partition_skew > 0, "partition_skew", "must be positive")
         check(self.radar_size >= 16, "radar_size", "must be >= 16")
         check(self.radar_size % 8 == 0, "radar_size", "must be divisible by 8")
-        check_positive_ints("channel_dims", self.channel_dims, 2)
-        check_positive_ints("channel_widths", self.channel_widths, 2)
-        check_positive_ints("encoder_filters", self.encoder_filters, 3)
-        check(self.bottleneck_filters >= 1, "bottleneck_filters", "must be a positive integer")
+        check(len(self.channel_dims) == 2, "channel_dims", "must have 2 entries")
+        for i, v in enumerate(self.channel_dims):
+            check(is_int(v) and v >= 1, f"channel_dims[{i}]", "must be a positive integer")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -254,13 +236,7 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def model_spec(self) -> ModelSpec:
-        return ModelSpec(
-            task=self.task,
-            channel_widths=self.channel_widths,
-            encoder_filters=self.encoder_filters,
-            bottleneck_filters=self.bottleneck_filters,
-            init_seed=derive_seed(self.seed, _TAG_MODEL_INIT),
-        )
+        return ModelSpec(task=self.task, init_seed=derive_seed(self.seed, _TAG_MODEL_INIT))
 
     def bb84_template(self, eve: bool) -> BB84Config:
         return BB84Config(
@@ -542,16 +518,28 @@ def report_leakage(run_dir, out_dir=None) -> list[dict]:
     """Per-round leakage table from a finished run's JSON-lines reports.
 
     Rows cover SECURE rounds only; emits a header-only CSV with a warning
-    when the run has none.  A damaged manifest or round line is a
-    ConfigError that names its file.
+    when the run has none.  The rounds are read only when the manifest lists
+    `rounds.jsonl`.  A damaged manifest or round line is a ConfigError that
+    names its file.
     """
     run = Path(run_dir)
     manifest_path = run / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"{run}: not a run directory (missing manifest.json)")
-    manifest = _json_object(manifest_path.read_bytes(), str(manifest_path), ("config_hash",))
+    manifest = _json_object(
+        manifest_path.read_bytes(), str(manifest_path), ("config_hash", "files")
+    )
+    if not isinstance(manifest["files"], list):
+        raise ConfigError(f"{manifest_path}: files must be a JSON list")
+    # Only a rounds file this run wrote: a C run into an A run's directory
+    # leaves the A rounds behind, unlisted.
     rounds_path = run / "rounds.jsonl"
-    lines = rounds_path.read_bytes().splitlines() if rounds_path.exists() else []
+    lines = []
+    if "rounds.jsonl" in manifest["files"]:
+        try:
+            lines = rounds_path.read_bytes().splitlines()
+        except FileNotFoundError:
+            raise ConfigError(f"{rounds_path}: listed in the manifest but missing") from None
 
     rows = []
     for lineno, line in enumerate(lines, 1):

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import params as pvops
-from .bits import random_bits
 from .datasets import ChannelSample, RadarSample
 from .errors import UndefinedProxyError
 from .masking import (
@@ -181,7 +180,7 @@ def _round_seed_bits(cfg: RoundConfig, session_key: np.ndarray | None) -> np.nda
     prg = np.random.default_rng(
         derive_seed(cfg.master_seed, cfg.round_index, _TAG_ROUND_KEY)
     )
-    return random_bits(prg, KEY_BITS)
+    return prg.integers(0, 2, size=KEY_BITS, dtype=np.uint8)
 
 
 def _train_clients(

@@ -47,9 +47,7 @@ def pixel_accuracy(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
     return float(np.count_nonzero(pred_labels == true_labels)) / pred_labels.size
 
 
-def mean_iou(
-    pred_labels: np.ndarray, true_labels: np.ndarray, num_classes: int = len(RADAR_CLASS_NAMES)
-) -> float:
+def mean_iou(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
     """Mean IoU over classes present in prediction or ground truth."""
     pred_labels = np.asarray(pred_labels)
     true_labels = np.asarray(true_labels)
@@ -58,7 +56,7 @@ def mean_iou(
     if pred_labels.size == 0:
         raise ValueError("empty dataset")
     ious = []
-    for c in range(num_classes):
+    for c in range(len(RADAR_CLASS_NAMES)):
         in_pred = pred_labels == c
         in_true = true_labels == c
         union = np.count_nonzero(in_pred | in_true)

@@ -31,14 +31,13 @@ TASK_RADAR = "radar"
 class ModelSpec:
     """Architecture knobs for one task's model.
 
-    Channel estimator: three same-padded convolutions, kernels 9x9/5x5/5x5,
-    widths 1 -> w1 -> w2 -> 1, activations selu/softplus/selu.
+    Channel estimator: fixed, three same-padded convolutions, kernels
+    9x9/5x5/5x5, widths 1 -> 12 -> 8 -> 1, activations selu/softplus/selu.
     Radar segmenter: encoder-decoder with skip connections, 3x3 relu convs,
     encoder filter ladder plus a bottleneck, 1x1 head to the class logits.
     """
 
     task: str
-    channel_widths: tuple[int, int] = (12, 8)
     encoder_filters: tuple[int, int, int] = (8, 16, 32)
     bottleneck_filters: int = 64
     init_seed: int = 0
@@ -71,12 +70,11 @@ class ChannelNet(_ConvNet):
     """Pilot spectrogram -> channel magnitude map, same spatial shape."""
 
     KERNELS = (9, 5, 5)
+    WIDTHS = (1, 12, 8, 1)
 
     def __init__(self, spec: ModelSpec):
-        w1, w2 = spec.channel_widths
-        widths = (1, w1, w2, 1)
         super().__init__([
-            Conv2D(f"conv{i + 1}", k, k, widths[i], widths[i + 1], input_grad=i > 0)
+            Conv2D(f"conv{i + 1}", k, k, self.WIDTHS[i], self.WIDTHS[i + 1], input_grad=i > 0)
             for i, k in enumerate(self.KERNELS)
         ])
         self.acts = [Activation("selu"), Activation("softplus"), Activation("selu")]

@@ -24,14 +24,12 @@ def train_local(
 
     Deterministic: the shuffle order is the only randomness and comes from
     `seed`.  Optimizer state starts fresh (standard federated local step).
-    epochs = 0 returns the input unchanged.
+    epochs = 0 returns an unchanged copy, still checked against `spec`.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     if not shard:
         raise ValueError("empty training shard")
-    if epochs == 0:
-        return pv.copy()
 
     net = build_model(spec)
     set_params(net, pv)

@@ -196,7 +196,11 @@ class TestValidateVerb:
         "overrides,field",
         [
             ({"channel_dims": [0, 14]}, "channel_dims[0]"),
-            ({"channel_widths": [0, 3]}, "channel_widths[0]"),
+            # channel_widths is a retired field: a bad value is now rejected as unknown.
+            pytest.param(
+                {"channel_widths": [0, 3]}, "channel_widths: unknown field",
+                id="overrides1-channel_widths[0]",
+            ),
             ({"seed": True}, "seed"),
             ({"eve": "no"}, "eve"),
             ({"rounds": 2.5}, "rounds"),
@@ -220,9 +224,14 @@ class TestValidateVerb:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_field_reported(self, tmp_path, capsys):
-        for field, value in (("typo_field", 1), ("key_bits", 256), ("depolarize_prob", 0.0)):
+        retired = (
+            ("key_bits", 256), ("depolarize_prob", 0.0), ("channel_widths", [12, 8]),
+            ("encoder_filters", [8, 16, 32]), ("bottleneck_filters", 64),
+        )
+        for field, value in (("typo_field", 1), *retired):
             cfg = write_cfg(tmp_path, **{field: value})
             assert main(["validate", str(cfg)]) == 1
             assert f"{field}: unknown field" in capsys.readouterr().err

@@ -52,11 +52,12 @@ class TestConfig:
         [
             ({"channel_dims": [0, 14]}, r"channel_dims\[0\]"),
             ({"channel_dims": [16]}, r"channel_dims: must have 2 entries"),
-            ({"channel_widths": [0, 3]}, r"channel_widths\[0\]"),
-            ({"channel_widths": [12, 2.5]}, r"channel_widths\[1\]"),
-            ({"encoder_filters": [8, -16, 32]}, r"encoder_filters\[1\]"),
-            ({"bottleneck_filters": 0}, r"bottleneck_filters"),
-            ({"bottleneck_filters": True}, r"bottleneck_filters"),
+            # The model shape is no config field; the old fields are unknown.
+            ({"channel_widths": [0, 3]}, r"config\.channel_widths: unknown field"),
+            ({"channel_widths": [12, 8]}, r"config\.channel_widths: unknown field"),
+            ({"encoder_filters": [8, 16, 32]}, r"config\.encoder_filters: unknown field"),
+            ({"bottleneck_filters": 64}, r"config\.bottleneck_filters: unknown field"),
+            ({"bottleneck_filters": 0}, r"config\.bottleneck_filters: unknown field"),
             ({"seed": True}, r"config\.seed"),
             ({"eve": "no"}, r"config\.eve"),
             ({"eve": 1}, r"config\.eve"),
@@ -111,12 +112,12 @@ class TestConfig:
         cfg = make_cfg(snr_db=float("inf"), partition_skew=float("inf"))
         assert cfg.snr_db == cfg.partition_skew == float("inf")
 
-    def test_task_defaults_applied(self):
-        cfg = ExperimentConfig.from_dict(
-            {"experiment": "A", "task": "radar", "seed": 1, "train_samples": 48}
-        )
-        assert cfg.batch_size == 4
-        assert cfg.learning_rate == 1e-4
+    def test_omitted_radar_field_takes_field_default(self):
+        # One default per field, whatever the task.
+        radar = ExperimentConfig.from_dict({"experiment": "A", "task": "radar", "seed": 1})
+        channel = ExperimentConfig.from_dict({"experiment": "A", "task": "channel", "seed": 1})
+        default = ExperimentConfig.__dataclass_fields__["batch_size"].default
+        assert radar.batch_size == channel.batch_size == default == 16
 
     def test_hash_stable_and_seed_sensitive(self):
         a, b = make_cfg(), make_cfg()
@@ -263,7 +264,6 @@ class TestRadarExperiment:
         assert final["final_accuracy"] is not None
         assert final["final_miou"] is not None
         assert final["final_nmse"] is None
-        assert manifest["config"]["batch_size"] == 4  # radar task default
 
 
 # Per family: config overrides, the manifest's file list, the summary.json keys.
@@ -422,6 +422,34 @@ class TestReportLeakage:
         assert rows == []
         csv_text = (tmp_path / "run" / "leakage.csv").read_text().splitlines()
         assert len(csv_text) == 1  # header only
+
+    def test_reads_only_the_rounds_the_manifest_lists(self, tmp_path):
+        # A C run into an A run's directory leaves the A rounds.jsonl behind.
+        run_experiment(make_cfg(clients=[3], modes=["plain"], epochs=1), tmp_path / "run")
+        run_experiment(
+            make_cfg(experiment="C", noise_grid=[0.0], sessions_per_point=5), tmp_path / "run"
+        )
+        assert (tmp_path / "run" / "rounds.jsonl").exists()
+        assert report_leakage(tmp_path / "run") == []
+
+    def test_manifest_without_file_list_is_named(self, tmp_path):
+        run_experiment(make_cfg(clients=[3], modes=["plain"]), tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for files in (None, "rounds.jsonl"):
+            if files is None:
+                del manifest["files"]
+            else:
+                manifest["files"] = files
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(ConfigError, match=r"manifest\.json: .*files"):
+                report_leakage(tmp_path / "run")
+
+    def test_listed_rounds_file_missing_is_named(self, tmp_path):
+        run_experiment(make_cfg(clients=[3], modes=["plain"]), tmp_path / "run")
+        (tmp_path / "run" / "rounds.jsonl").unlink()
+        with pytest.raises(ConfigError, match=r"rounds\.jsonl: listed in the manifest"):
+            report_leakage(tmp_path / "run")
 
     def test_rejects_non_run_directory(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -32,6 +32,13 @@ class TestTrainLocal:
         for (_, a), (_, b) in zip(out.entries, pv.entries):
             assert (a == b).all()
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_mismatched_params_raise_at_any_epochs(self, epochs):
+        # epochs = 0 runs the same path, so it checks the structure too.
+        pv = init_params(RADAR_SPEC)
+        with pytest.raises(ValueError, match="model structure"):
+            train_local(CHANNEL_SPEC, pv, small_channel_data(), epochs, 1e-3, 4, seed=0)
+
     def test_overfits_single_sample(self):
         data = small_channel_data(1)
         pv = init_params(CHANNEL_SPEC)
