@@ -18,6 +18,8 @@ import struct
 
 import numpy as np
 
+NOT_BITS = "bit array contains values other than 0/1"
+
 
 def as_bit_array(bits) -> np.ndarray:
     """A flat uint8 copy or view of `bits`; any value but exactly 0 or 1 is a ValueError."""
@@ -33,7 +35,7 @@ def as_bit_array(bits) -> np.ndarray:
     else:
         valid = bool(((arr == 0) | (arr == 1)).all())
     if not valid:
-        raise ValueError("bit array contains values other than 0/1")
+        raise ValueError(NOT_BITS)
     return arr.astype(np.uint8, copy=False).ravel()
 
 
@@ -46,6 +48,10 @@ def pack_bits(bits) -> bytes:
 
 
 _LE64 = struct.Struct("<Q").pack
+# LE64(t) for the first counters, packed once.  4,096 blocks are 128 KiB of
+# output, past any one tensor's mask stream in a 1M-parameter SegNet (its
+# largest weight takes 1,728 blocks); a longer expansion packs the rest.
+_COUNTERS = tuple(_LE64(t) for t in range(4096))
 
 
 def le64(value: int) -> bytes:
@@ -55,12 +61,16 @@ def le64(value: int) -> bytes:
 
 def sha256_expand_bytes(prefix: bytes, num_bytes: int) -> bytes:
     """First `num_bytes` of SHA-256(prefix || LE64(0)) || SHA-256(prefix || LE64(1)) || ..."""
+    num_blocks = -(-num_bytes // 32)
+    counters = _COUNTERS[:num_blocks]
+    if num_blocks > len(_COUNTERS):
+        counters += tuple(map(_LE64, range(len(_COUNTERS), num_blocks)))
     # Hash the shared prefix once; each block resumes from a copy of that state.
-    h0 = hashlib.sha256(prefix)
+    copy = hashlib.sha256(prefix).copy
     blocks = []
-    for counter in range(-(-num_bytes // 32)):
-        h = h0.copy()
-        h.update(_LE64(counter))
+    for counter in counters:
+        h = copy()
+        h.update(counter)
         blocks.append(h.digest())
     return b"".join(blocks)[:num_bytes]
 

@@ -463,14 +463,24 @@ _SUMMARY_KEYS = {
 }
 
 
+# Every file a run, or the report verb, writes into a run directory.
+_RUN_FILES = ("manifest.json", "summary.json", "rounds.jsonl", *CSV_SCHEMAS)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Run the configured experiment and persist all outputs under out_dir.
 
-    Returns the manifest dict.
+    A run into an earlier run's directory (one holding a manifest) first
+    deletes every file a run or its report writes there, so no table of the
+    earlier run survives beside this run's manifest.  Returns the manifest
+    dict.
     """
     tables = run_cells(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if (out / "manifest.json").exists():
+        for name in _RUN_FILES:
+            (out / name).unlink(missing_ok=True)
     chash = cfg.config_hash()
     summary: dict = {"config": cfg.to_dict(), "config_hash": chash}
     for name, rows in tables.items():
@@ -531,8 +541,7 @@ def report_leakage(run_dir, out_dir=None) -> list[dict]:
     )
     if not isinstance(manifest["files"], list):
         raise ConfigError(f"{manifest_path}: files must be a JSON list")
-    # Only a rounds file this run wrote: a C run into an A run's directory
-    # leaves the A rounds behind, unlisted.
+    # Only a rounds file this run wrote, which its manifest lists.
     rounds_path = run / "rounds.jsonl"
     lines = []
     if "rounds.jsonl" in manifest["files"]:

@@ -85,7 +85,9 @@ def usable_cores() -> int:
 def derive_seed(master_seed: int, *path: int) -> int:
     """Stable 64-bit seed for a labeled point in the run's seed tree."""
     ss = np.random.SeedSequence([int(master_seed), *[int(p) for p in path]])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    # The uint64 state word: numpy builds it from this little-endian pair.
+    lo, hi = ss.generate_state(2).tolist()
+    return lo | hi << 32
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import as_bit_array, pack_bits, sha256_expand_bits
+from .bits import NOT_BITS, as_bit_array, pack_bits, sha256_expand_bits
 from .errors import DegenerateSessionError
 
 
@@ -65,11 +65,17 @@ def qber_of(alice_bits, bob_bits, sift_mask) -> float:
 
     All three inputs must hold only 0/1 (or bools); anything else is a ValueError.
     """
-    alice, bob, mask = (np.asarray(a) for a in (alice_bits, bob_bits, sift_mask))
+    arrays = [np.asarray(a) for a in (alice_bits, bob_bits, sift_mask)]
+    alice, bob, mask = arrays
     if not (alice.shape == bob.shape == mask.shape):
         raise ValueError("alice_bits, bob_bits and sift_mask must have equal length")
-    alice, bob = as_bit_array(alice), as_bit_array(bob)
-    mask = as_bit_array(mask).view(bool)  # bool: the fast path of & and count_nonzero
+    if all(a.dtype.kind in "bu" for a in arrays):
+        # One pass checks all three: an OR above 1 has a bit other than the lowest.
+        if alice.size and (alice | bob | mask).max() > 1:
+            raise ValueError(NOT_BITS)
+    else:
+        alice, bob, mask = (as_bit_array(a) for a in arrays)
+    mask = mask.astype(bool, copy=False)  # bool: the fast path of & and count_nonzero
     n_sift = int(np.count_nonzero(mask))
     if n_sift == 0:
         raise DegenerateSessionError("sift mask selects no positions")

@@ -319,6 +319,30 @@ class TestRunDirectory:
             b = (tmp_path / "two" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
+    def test_rerun_replaces_the_earlier_run_whole(self, tmp_path):
+        # A then C into one directory: the A tables and the report's
+        # leakage.csv go; a file no run writes stays.
+        c_cfg = make_cfg(experiment="C", noise_grid=[0.0], sessions_per_point=5)
+        run_experiment(make_cfg(clients=[3], modes=["plain"], epochs=1), tmp_path / "run")
+        report_leakage(tmp_path / "run")
+        (tmp_path / "run" / "notes.txt").write_text("kept")
+        manifest = run_experiment(c_cfg, tmp_path / "run")
+        run_experiment(c_cfg, tmp_path / "fresh")
+        left = sorted(p.name for p in (tmp_path / "run").iterdir())
+        assert left == sorted([*manifest["files"], "notes.txt"])
+        for name in manifest["files"]:
+            assert (tmp_path / "run" / name).read_bytes() == (
+                tmp_path / "fresh" / name
+            ).read_bytes()
+
+    def test_run_into_a_directory_without_manifest_deletes_nothing(self, tmp_path):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "rounds.jsonl").write_text("not a run's\n")
+        run_experiment(
+            make_cfg(experiment="C", noise_grid=[0.0], sessions_per_point=5), tmp_path / "run"
+        )
+        assert (tmp_path / "run" / "rounds.jsonl").read_text() == "not a run's\n"
+
     @pytest.mark.parametrize("family", ["A", "B", "C"])
     def test_parallel_jobs_identical_output(self, tmp_path, monkeypatch, family):
         overrides, files, _ = RUN_DIR_FAMILIES[family]
@@ -424,12 +448,15 @@ class TestReportLeakage:
         assert len(csv_text) == 1  # header only
 
     def test_reads_only_the_rounds_the_manifest_lists(self, tmp_path):
-        # A C run into an A run's directory leaves the A rounds.jsonl behind.
-        run_experiment(make_cfg(clients=[3], modes=["plain"], epochs=1), tmp_path / "run")
+        # An A run's rounds.jsonl copied beside a C run's manifest, which
+        # does not list it.
+        run_experiment(make_cfg(clients=[3], modes=["plain"], epochs=1), tmp_path / "a")
         run_experiment(
             make_cfg(experiment="C", noise_grid=[0.0], sessions_per_point=5), tmp_path / "run"
         )
-        assert (tmp_path / "run" / "rounds.jsonl").exists()
+        (tmp_path / "run" / "rounds.jsonl").write_bytes(
+            (tmp_path / "a" / "rounds.jsonl").read_bytes()
+        )
         assert report_leakage(tmp_path / "run") == []
 
     def test_manifest_without_file_list_is_named(self, tmp_path):

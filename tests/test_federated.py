@@ -278,6 +278,15 @@ class TestSeedDerivation:
         assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
         assert derive_seed(5, 1) != derive_seed(6, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        master=st.integers(0, 2**64 - 1),
+        path=st.lists(st.integers(0, 2**63 - 1), max_size=4),
+    )
+    def test_equals_the_uint64_state_word(self, master, path):
+        ss = np.random.SeedSequence([master, *path])
+        assert derive_seed(master, *path) == int(ss.generate_state(1, dtype=np.uint64)[0])
+
 
 class TestRoundConfigValidation:
     def test_bad_mode(self):

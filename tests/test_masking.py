@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qkdfl.bits as bits
 import qkdfl.masking as masking
 import qkdfl.params as pvops
 from qkdfl.bits import sha256_expand_bytes
@@ -226,12 +227,24 @@ class TestSignTable:
         assert got.tobytes() == formula_signs(arr, gamma).tobytes()
 
 
+# Output bytes of the counter blocks whose LE64 words are packed once.
+TABLE_BYTES = 32 * len(bits._COUNTERS)
+
+
 class TestSha256Expand:
     @settings(max_examples=50, deadline=None)
-    @given(prefix=st.binary(max_size=80), num_bytes=st.integers(0, 200))
+    @given(
+        prefix=st.binary(max_size=80),
+        num_bytes=st.integers(0, 200) | st.integers(0, TABLE_BYTES + 96),
+    )
+    @example(prefix=b"k" * 40, num_bytes=TABLE_BYTES - 1)
+    @example(prefix=b"k" * 40, num_bytes=TABLE_BYTES)
+    @example(prefix=b"k" * 40, num_bytes=TABLE_BYTES + 1)
+    @example(prefix=b"k" * 40, num_bytes=TABLE_BYTES + 33)
     def test_matches_counter_mode_definition(self, prefix, num_bytes):
         blocks = b"".join(
-            hashlib.sha256(prefix + struct.pack("<Q", t)).digest() for t in range(8)
+            hashlib.sha256(prefix + struct.pack("<Q", t)).digest()
+            for t in range(-(-num_bytes // 32))
         )
         assert sha256_expand_bytes(prefix, num_bytes) == blocks[:num_bytes]
 
@@ -397,6 +410,22 @@ class TestPairMaskSum:
         pv = ParamVec([(f"t{n}", np.zeros(shape)) for n, shape in enumerate(shapes)])
         for i in clients:
             assert_matches_oracles(pv, i, ctx)
+
+    @pytest.mark.parametrize("k", [2, 65, 128, 129, 256, 257])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_counts_at_their_ends_scale_exactly(self, monkeypatch, k, bit):
+        # Constant streams drive c to 0 or K - 1, where 2c - (K - 1) is
+        # +/-(K - 1): the widest value the integer scaling must hold.
+        monkeypatch.setattr(
+            masking, "mask_keystream",
+            lambda key, ordinal, num_bits: np.full(num_bits, bit, dtype=np.uint8),
+        )
+        ctx = make_ctx(num_clients=k, seed=k, mask_scale=0.37)
+        pv = ParamVec([("t", np.zeros(3))])
+        for i in (0, k // 2, k - 1):
+            signed = k - 1 - 2 * i if bit else 2 * i - (k - 1)
+            want = np.full(3, signed * 0.37 + 0.0)
+            assert pair_mask_sum(pv, i, ctx).buf.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [3, 4, 10, 11, 20])
     def test_exact_zero_fraction_of_a_mask_sum(self, k):
@@ -607,6 +636,66 @@ class TestPairStreamMemo:
             }
             assert ctx._pending_streams == {}
             assert pvops.max_abs_diff(aggregate(batch), pvops.mean(pvs)) <= 1e-12
+
+
+# Layouts with tensor sizes 15, 1, 12, 1,073 and 1 (a 0-d tensor), none a
+# multiple of 8; at K = 257 a tiny one keeps the 32,896 pair keys cheap.
+PIN_SHAPES = [(3, 5), (1,), (2, 2, 3), (37, 29), ()]
+TINY_SHAPES = [(3,), (2, 5)]
+
+
+class TestCohortDigests:
+    """SHA-256 over every client's masked upload and the aggregate, pinned
+    from the float-domain scaling (count -> float64, x2, -(K - 1), xgamma,
+    +0.0) that the integer-domain scaling replaced.  At K = 65 the doubled
+    count reaches 128, past int8; K = 257 needs a 16-bit count; gamma =
+    +/-0.0 takes the +0.0 fix-up; at 1e300 every upload, up to 256e300 in
+    magnitude, is still finite."""
+
+    @pytest.mark.parametrize(
+        "k,gamma,digest",
+        [
+            (2, 0.0, "1f161e3871fec9a8f76e48e199b0c99bb3d5892a92c067dae0ec910615fd4757"),
+            (2, -0.0, "1f161e3871fec9a8f76e48e199b0c99bb3d5892a92c067dae0ec910615fd4757"),
+            (2, 1e-3, "8f7b9384bffe5bbb3d79d2f5273beeb70134a0076781c690d8b2214ce3ae300d"),
+            (2, 1e300, "7cb5bd795d435b1b369fdbcf11393e1f89d28d85b39a7f437d7dcb988be99484"),
+            (3, 0.0, "5387843506fc4ef49be360b4bb287f5449cc535b9e2ef0f8efd21c6e497c233c"),
+            (3, -0.0, "5387843506fc4ef49be360b4bb287f5449cc535b9e2ef0f8efd21c6e497c233c"),
+            (3, 1e-3, "7255ecc08b7c1f53144c263f62d8b18b96ef7c82501739347c89a884d6005946"),
+            (3, 1e300, "a89084eadde095422b7e9709e14ab5638e9516a7e059835af1000e1b265746dd"),
+            (20, 0.0, "7d0dbbd25dc35a4c0be3fe9a1b7a85f7ef6cda982c11c176b86ac58eb618c255"),
+            (20, -0.0, "7d0dbbd25dc35a4c0be3fe9a1b7a85f7ef6cda982c11c176b86ac58eb618c255"),
+            (20, 1e-3, "b87db9b1212dd54de061fa0a19fda79914035e2ae1436d3f554f82304bde3a19"),
+            (20, 1e300, "16e5fa3662399a2a93c8550f8bfeb62183f7b8712f00346101ae300724999bba"),
+            (65, 0.0, "83342842572ebaf4b51e21969df95f4789499679713c23375cce45337a100423"),
+            (65, -0.0, "83342842572ebaf4b51e21969df95f4789499679713c23375cce45337a100423"),
+            (65, 1e-3, "e1d6fcf4bd0f04090b7aa3f023607bfe3a8a944a1da59482ca3238a307aec74e"),
+            (65, 1e300, "0cae0f7093f4b65da35f03167e88674b42802093b1218eb1bf68ba86236b9fb6"),
+            (257, 0.0, "996027fd4c8ecd9ef607582509dc9f019528865a224d90ee01591530c74834e5"),
+            (257, -0.0, "996027fd4c8ecd9ef607582509dc9f019528865a224d90ee01591530c74834e5"),
+            (257, 1e-3, "e7c731e04e4b62bd6e78eaaa6e9b40b243193a53e6638f49473e549f542eee27"),
+            (257, 1e300, "b99824783100a7bbc58526ac3bca2695a1787509ec7f2f9efd4bb3f94c53b7d6"),
+        ],
+        ids=lambda v: v[:8] if isinstance(v, str) else None,
+    )
+    def test_uploads_and_aggregate_are_pinned(self, k, gamma, digest):
+        ctx = make_ctx(num_clients=k, seed=k, mask_scale=gamma)
+        rng = np.random.default_rng(k)
+        shapes = TINY_SHAPES if k == 257 else PIN_SHAPES
+        pvs = [
+            ParamVec([(f"t{n}", rng.standard_normal(s)) for n, s in enumerate(shapes)])
+            for _ in range(k)
+        ]
+        for pv in pvs:
+            # -0.0 + -0.0 is the one sum that keeps a -0.0 mask element.
+            pv.buf[::3] = -0.0
+            pv.buf[1::5] = 0.0
+        h = hashlib.sha256()
+        batch = [apply_pairwise_masks(pv, c, ctx) for c, pv in enumerate(pvs)]
+        for m in batch:
+            h.update(m.params.buf.tobytes())
+        h.update(aggregate(batch).buf.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestParamsMean:
