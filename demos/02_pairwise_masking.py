@@ -19,13 +19,18 @@ rng = np.random.default_rng(0)
 K = 3
 
 # The round seed would normally come from a BB84 session; any >=256-bit
-# secret works. Every client pair derives the same symmetric key from it.
+# secret works. The key authority derives one symmetric key per client pair
+# from it; the context keeps the key table, not the seed.
 round_seed = rng.integers(0, 2, 256, dtype=np.uint8)
 ctx = MaskingContext(round_seed=round_seed, round_index=0, num_clients=K)
 
-k01 = derive_pair_key(ctx, 0, 1)
-k10 = derive_pair_key(ctx, 1, 0)
+k01 = derive_pair_key(round_seed, 0, 0, 1)
+k10 = derive_pair_key(round_seed, 0, 1, 0)
 print(f"pair key (0,1) == (1,0): {(k01 == k10).all()}")
+# Client i masks with only row i of the table: its K - 1 keys, None at i.
+row0 = ctx.keys[0]
+print(f"client 0's row: {['-' if key is None else 'key' for key in row0]}, "
+      f"row 0 entry 1 is the (0,1) key: {(row0[1] == k01).all()}")
 
 # Three clients hold small "model updates"; realistic local-training deltas
 # have magnitudes comparable to the mask scale gamma.
@@ -57,4 +62,4 @@ print(f"\n|masked mean - plain mean|_inf = "
 # across rounds.
 ctx_next = MaskingContext(round_seed=round_seed, round_index=1, num_clients=K)
 print(f"round 0 vs round 1 pair key differs: "
-      f"{(derive_pair_key(ctx, 0, 1) != derive_pair_key(ctx_next, 0, 1)).any()}")
+      f"{(ctx.keys[0][1] != ctx_next.keys[0][1]).any()}")

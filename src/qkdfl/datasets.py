@@ -47,8 +47,8 @@ _PILOT_SYMBOLS = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 # Relative gain of the three spectrogram channels for painted signal energy.
 _CHANNEL_GAINS = np.array([1.0, 0.85, 0.7])
 
-# Each task's channel depth: a container's dims[2] and its samples' last axis.
-_DEPTH = {"channel": 1, "radar": len(_CHANNEL_GAINS)}
+# Each task's channel depth: container dims[2], sample last axis, model input width.
+DEPTH = {"channel": 1, "radar": len(_CHANNEL_GAINS)}
 
 
 @dataclass
@@ -170,7 +170,7 @@ def _record_fields(task: str, dims) -> list[tuple[str, str, tuple]]:
     """One sample's container record as (sample attribute, container dtype,
     shape) fields, with every shape taken from the header dims."""
     d0, d1 = dims[:2]
-    grid = (d0, d1, _DEPTH[task])
+    grid = (d0, d1, DEPTH[task])
     if task == "channel":
         return [("pilots", "<f4", grid), ("truth", "<f4", grid), ("snr_db", "<f4", ())]
     return [("spectrogram", "<f4", grid), ("labels", "u1", (d0, d1))]
@@ -263,8 +263,8 @@ def load_dataset(path) -> tuple[list, dict]:
     if count == 0:
         raise DatasetFormatError(f"{path}: container holds no samples")
     task = _TASKS[task_code]
-    if dims[2] != _DEPTH[task]:
-        raise DatasetFormatError(f"{path}: {task} dims[2] is {dims[2]}, not {_DEPTH[task]}")
+    if dims[2] != DEPTH[task]:
+        raise DatasetFormatError(f"{path}: {task} dims[2] is {dims[2]}, not {DEPTH[task]}")
     if dims[3] != 0:
         raise DatasetFormatError(f"{path}: dims[3] is {dims[3]}, not 0")
     fields = _record_fields(task, dims)

@@ -1,10 +1,11 @@
 """Federated rounds with per-round key establishment and QBER abort.
 
 One key-agreement session runs per round between the client cohort and a
-key authority; the aggregation server never sees the round seed.  Every
-client does hold it, so any one client can derive every pair key and strip
-the other clients' masks from their uploads: the masks can hide updates
-at most from a server that colludes with no client.
+key authority; its key (classical_sa: a seeded PRG draw) is the round seed.
+The authority is trusted, as trusted-node QKD networks trust their nodes
+(Peev et al., New J. Phys. 11, 075001, 2009): it derives the pair keys
+(masking.MaskingContext), and client i masks with only its K - 1 of them.
+How they reach the clients is not modelled; no client sees the round seed.
 
 If the measured QBER reaches the abort threshold, or the session's final
 key is shorter than one pair key (masking.KEY_BITS = 256 bits; a key is

@@ -1,9 +1,11 @@
 """Pairwise additive masking seeded from a per-round key.
 
-Every ordered client pair (i, j) shares one symmetric KEY_BITS-bit key
-derived from the round seed, so client i adds the pair mask when i < j and
-subtracts it when i > j; the masks cancel exactly in the sum of all K
-uploads and the server only ever learns the aggregate.
+A MaskingContext derives one symmetric KEY_BITS-bit key per client pair
+(i, j) from the round seed, once, and keeps no reference to the seed.
+Client i masks with row i of that table, its own K - 1 keys: it adds the
+pair mask when i < j and subtracts it when i > j.  The masks cancel exactly
+in the sum of all K uploads, the server only learns the aggregate, and a
+colluding client holds just one of each other client's K - 1 keys.
 
 Key schedule (test-vector contracts, see tests/golden):
 
@@ -34,12 +36,14 @@ there +0.0 is added, as a running sum of the masks would give.  The sum
 fills one flat buffer, so aggregation and leakage are flat operations.
 
 Each pair's keystream is expanded once per round.  The first end of a pair
-to mask derives the pair key, expands every tensor's stream into one flat
-buffer and parks it on the round's MaskingContext as one packed stream per
-pair; the other end pops it and unpacks it instead of hashing.  A stream is
-dropped on its second use, so a context holds at most about (K/2)^2 pairs'
-packed streams mid-round (one bit per parameter each: 100 x 121 KB for
-K = 20 and 969,380 parameters) and none once all K clients have masked.
+to mask expands every tensor's stream from the pair key into one flat
+buffer and parks it, packed, in the round's MaskingContext.streams; the
+other end pops and unpacks it instead of hashing.  This cache is a
+simulation shortcut: it spares the second end an expansion it could do
+from its own copy of the key.  A stream is dropped on its second use, so a
+context holds at most about (K/2)^2 pairs' packed streams mid-round (one
+bit per parameter each: 100 x 121 KB for K = 20 and 969,380 parameters)
+and none once all K clients have masked.
 
 Where a masked upload's time goes: the SHA-256 counter blocks, one per 256
 mask bits of each pair.  A K = 20 cohort of 969,380-parameter uploads
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,35 +78,36 @@ KEY_BITS = 256
 DEFAULT_MASK_SCALE = 1e-3
 
 
-@dataclass(frozen=True)
 class MaskingContext:
-    """Everything a client needs to mask one round's upload."""
+    """One round's pair keys, derived once; the context keeps no round seed.
 
-    round_seed: np.ndarray
-    round_index: int
-    num_clients: int
-    mask_scale: float = DEFAULT_MASK_SCALE
-    # (lo, hi, tensor sizes) -> the pair's whole keystream, packed, parked by
-    # the first end of the pair to mask and popped by the second.
-    _pending_streams: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    `keys[i]` is client i's row of pair keys, None at index i, and
+    `keys[i][j] is keys[j][i]`.  `streams` is the round's parked-stream
+    cache: (lo, hi, tensor sizes) -> the pair's packed keystream.
+    """
 
-    def __post_init__(self):
+    def __init__(self, round_seed, round_index: int, num_clients: int,
+                 mask_scale: float = DEFAULT_MASK_SCALE):
         try:
-            seed = as_bit_array(self.round_seed)
+            seed = as_bit_array(round_seed)
         except ValueError:
             raise ValueError("round_seed must hold only 0/1 bits") from None
-        object.__setattr__(self, "round_seed", seed)
         if seed.size < KEY_BITS:
             raise ValueError(f"round_seed must be >= {KEY_BITS} bits, got {seed.size}")
-        if self.num_clients < 2:
+        if num_clients < 2:
             raise ValueError("num_clients must be >= 2 for pairwise masking")
-        if self.round_index < 0:
+        if round_index < 0:
             raise ValueError("round_index must be non-negative")
         # gamma = 0 is allowed as a degenerate diagnostic mode (masks vanish).
-        if not (math.isfinite(self.mask_scale) and self.mask_scale >= 0):
+        if not (math.isfinite(mask_scale) and mask_scale >= 0):
             raise ValueError("mask_scale must be finite and non-negative")
+        self.round_index = round_index
+        self.num_clients = num_clients
+        self.mask_scale = mask_scale
+        self.keys = [[None] * num_clients for _ in range(num_clients)]
+        for i, j in itertools.combinations(range(num_clients), 2):
+            self.keys[i][j] = self.keys[j][i] = derive_pair_key(seed, round_index, i, j)
+        self.streams = {}
 
 
 @dataclass
@@ -115,17 +120,12 @@ class MaskedUpdate:
     num_clients: int
 
 
-def derive_pair_key(ctx: MaskingContext, i: int, j: int) -> np.ndarray:
-    """Symmetric pairwise key: derive_pair_key(i, j) == derive_pair_key(j, i)."""
-    if i == j:
-        raise InvalidPairError(f"no pairwise key for a client with itself (i = j = {i})")
-    for idx in (i, j):
-        if not 0 <= idx < ctx.num_clients:
-            raise InvalidPairError(
-                f"client index {idx} out of range for K = {ctx.num_clients}"
-            )
+def derive_pair_key(round_seed, round_index: int, i: int, j: int) -> np.ndarray:
+    """Symmetric pair key: derive_pair_key(s, r, i, j) == derive_pair_key(s, r, j, i)."""
     lo, hi = min(i, j), max(i, j)
-    prefix = pack_bits(ctx.round_seed) + le64(ctx.round_index) + le64(lo) + le64(hi)
+    if lo == hi or lo < 0:
+        raise InvalidPairError(f"no pair key for ({i}, {j}): need distinct indices >= 0")
+    prefix = pack_bits(round_seed) + le64(round_index) + le64(lo) + le64(hi)
     return sha256_expand_bits(prefix, KEY_BITS)
 
 
@@ -142,40 +142,37 @@ def mask_keystream(key_bits: np.ndarray, tensor_ordinal: int, num_bits: int) -> 
     return sha256_expand_bits(prefix, num_bits)
 
 
-def pair_mask_sum(pv: ParamVec, client_index: int, ctx: MaskingContext) -> ParamVec:
+def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> ParamVec:
     """Signed sum of all pair masks for one client, laid out like `pv`.
 
+    `row` is the client's row of pair keys, None at its own index i.
     Client i adds m_ij for j > i and subtracts it for j < i; the tensor
     ordinal is the entry's position in canonical order.  Each element is
     (2c - (K - 1)) * gamma, where c counts its +gamma terms.  Each peer's
-    bits come from the pair's stream parked on `ctx`, or are expanded and
-    parked there by the first end of the pair.
+    bits come from the pair's stream parked in `streams`, or are expanded
+    and parked there by the first end of the pair.
     """
-    if not 0 <= client_index < ctx.num_clients:
-        raise InvalidPairError(
-            f"client index {client_index} out of range for K = {ctx.num_clients}"
-        )
     sizes = tuple(math.prod(shape) for _, shape in pv.layout)
     if 0 in sizes:
         raise ValueError("cannot mask a tensor with no elements")
-    k, n = ctx.num_clients, pv.total_len
+    k, n = len(row), pv.total_len
+    client_index = [key is None for key in row].index(True)
     bounds = list(itertools.accumulate(sizes, initial=0))
     # Every peer below starts as a +gamma term and loses it where its bit is 1.
     # The count is unsigned as wide as the smallest signed type that holds
     # -(K - 1)..K - 1, so 2c - (K - 1) can be formed in place below.
     width = np.min_scalar_type(-k).itemsize
     count = np.full(n, client_index, dtype=f"u{width}")
-    for j in range(k):
-        if j == client_index:
+    for j, key in enumerate(row):
+        if key is None:
             continue
         memo_key = (min(client_index, j), max(client_index, j), sizes)
-        parked = ctx._pending_streams.pop(memo_key, None)
+        parked = streams.pop(memo_key, None)
         if parked is None:
-            key = derive_pair_key(ctx, client_index, j)
             bits = np.empty(n, dtype=np.uint8)
             for ordinal, (start, stop) in enumerate(zip(bounds, bounds[1:])):
                 bits[start:stop] = mask_keystream(key, ordinal, stop - start)
-            ctx._pending_streams[memo_key] = np.packbits(bits)
+            streams[memo_key] = np.packbits(bits)
         else:
             bits = np.unpackbits(parked, count=n)
         if j < client_index:
@@ -187,7 +184,7 @@ def pair_mask_sum(pv: ParamVec, client_index: int, ctx: MaskingContext) -> Param
     count += count
     count -= k - 1
     signed = count.view(f"i{width}")
-    (step,) = signs_from_bits(np.ones(1, dtype=np.uint8), ctx.mask_scale)
+    (step,) = signs_from_bits(np.ones(1, dtype=np.uint8), gamma)
     total = np.multiply(signed, step, dtype=np.float64)
     if step == 0.0:
         total += 0.0  # the one gamma with -0.0 products; a running sum gives +0.0
@@ -197,16 +194,17 @@ def pair_mask_sum(pv: ParamVec, client_index: int, ctx: MaskingContext) -> Param
 def apply_pairwise_masks(
     pv: ParamVec, client_index: int, ctx: MaskingContext
 ) -> MaskedUpdate:
-    """Mask one client's parameters for upload."""
+    """Mask one client's parameters for upload, with its row of pair keys."""
     if not 0 <= client_index < ctx.num_clients:
-        raise ValueError(
-            f"client_index {client_index} out of range for K = {ctx.num_clients}"
+        raise InvalidPairError(
+            f"client index {client_index} out of range for K = {ctx.num_clients}"
         )
     if not pv.all_finite():
         raise ValueError("parameters must be finite before masking")
+    row = ctx.keys[client_index]
     # A large enough gamma overflows to +/-inf here; aggregate rejects the mean.
     with np.errstate(over="ignore"):
-        masked = pvops.add(pv, pair_mask_sum(pv, client_index, ctx))
+        masked = pvops.add(pv, pair_mask_sum(pv, row, ctx.mask_scale, ctx.streams))
     return MaskedUpdate(
         client_index=client_index,
         round_index=ctx.round_index,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import RADAR_CLASS_NAMES
+from .datasets import DEPTH, RADAR_CLASS_NAMES
 from .nn import (
     Activation,
     Conv2D,
@@ -70,7 +70,7 @@ class ChannelNet(_ConvNet):
     """Pilot spectrogram -> channel magnitude map, same spatial shape."""
 
     KERNELS = (9, 5, 5)
-    WIDTHS = (1, 12, 8, 1)
+    WIDTHS = (DEPTH[TASK_CHANNEL], 12, 8, 1)
 
     def __init__(self, spec: ModelSpec):
         super().__init__([
@@ -104,7 +104,7 @@ class SegNet(_ConvNet):
     """
 
     def __init__(self, spec: ModelSpec):
-        widths = (3, *spec.encoder_filters, spec.bottleneck_filters)
+        widths = (DEPTH[TASK_RADAR], *spec.encoder_filters, spec.bottleneck_filters)
         super().__init__(
             [Conv2D(name, 3, 3, widths[k], widths[k + 1], input_grad=k > 0)
              for k, name in enumerate(("enc1", "enc2", "enc3", "bott"))]

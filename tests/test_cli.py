@@ -59,7 +59,7 @@ class TestRunVerb:
     def test_overflowing_aggregate_is_runtime_failure(self, tmp_path, capsys, monkeypatch):
         # A valid mask_scale keeps every masked sum finite, so the masks are
         # made to overflow directly; the single cell runs in this process.
-        def overflowing_mask(pv, client_index, ctx):
+        def overflowing_mask(pv, row, gamma, streams):
             return ParamVec.from_buffer(pv.layout, np.full(pv.flat().size, np.inf))
 
         monkeypatch.setattr("qkdfl.masking.pair_mask_sum", overflowing_mask)

@@ -43,14 +43,22 @@ def bits_from_str(s):
     return np.array([int(c) for c in s], dtype=np.uint8)
 
 
+def seed_bits(seed=0):
+    return np.random.default_rng(seed).integers(0, 2, 256, dtype=np.uint8)
+
+
 def make_ctx(num_clients=4, round_index=0, seed=0, **kw):
-    rng = np.random.default_rng(seed)
     return MaskingContext(
-        round_seed=rng.integers(0, 2, 256, dtype=np.uint8),
+        round_seed=seed_bits(seed),
         round_index=round_index,
         num_clients=num_clients,
         **kw,
     )
+
+
+def mask_sum(pv, client_index, ctx):
+    """`pair_mask_sum` over the client's row, as `apply_pairwise_masks` calls it."""
+    return pair_mask_sum(pv, ctx.keys[client_index], ctx.mask_scale, ctx.streams)
 
 
 def random_pv(rng, scale=1.0):
@@ -66,31 +74,47 @@ def random_pv(rng, scale=1.0):
 class TestDerivePairKey:
     def test_symmetry_exhaustive(self):
         for k in (2, 5, 8):
-            ctx = make_ctx(num_clients=k, seed=k)
+            seed = seed_bits(k)
             for i, j in itertools.combinations(range(k), 2):
-                assert (derive_pair_key(ctx, i, j) == derive_pair_key(ctx, j, i)).all()
+                assert (derive_pair_key(seed, 0, i, j) == derive_pair_key(seed, 0, j, i)).all()
 
     def test_round_change_rederives_keys(self):
-        a = derive_pair_key(make_ctx(round_index=1, seed=3), 0, 2)
-        b = derive_pair_key(make_ctx(round_index=2, seed=3), 0, 2)
+        a = derive_pair_key(seed_bits(3), 1, 0, 2)
+        b = derive_pair_key(seed_bits(3), 2, 0, 2)
         frac = np.count_nonzero(a != b) / a.size
         assert 0.35 <= frac <= 0.65
 
     def test_distinct_pairs_distinct_keys(self):
-        ctx = make_ctx()
-        assert (derive_pair_key(ctx, 0, 1) != derive_pair_key(ctx, 0, 2)).any()
+        seed = seed_bits()
+        assert (derive_pair_key(seed, 0, 0, 1) != derive_pair_key(seed, 0, 0, 2)).any()
 
     def test_self_pair_rejected(self):
         with pytest.raises(InvalidPairError):
-            derive_pair_key(make_ctx(), 1, 1)
+            derive_pair_key(seed_bits(), 0, 1, 1)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidPairError):
-            derive_pair_key(make_ctx(num_clients=3), 0, 3)
+        # The KDF knows no K; a negative index is out of range for every K.
+        for i, j in ((-1, 0), (2, -3)):
+            with pytest.raises(InvalidPairError):
+                derive_pair_key(seed_bits(), 0, i, j)
 
     def test_key_length(self):
         assert masking.KEY_BITS == 256
-        assert derive_pair_key(make_ctx(), 0, 1).size == masking.KEY_BITS
+        assert derive_pair_key(seed_bits(), 0, 0, 1).size == masking.KEY_BITS
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), round_index=st.integers(0, 1000))
+    def test_context_rows_are_the_pair_keys(self, k, seed, round_index):
+        ctx = make_ctx(num_clients=k, round_index=round_index, seed=seed)
+        bits = seed_bits(seed)
+        assert len(ctx.keys) == k
+        for i, row in enumerate(ctx.keys):
+            assert len(row) == k
+            assert [j for j, key in enumerate(row) if key is None] == [i]
+            for j, key in enumerate(row):
+                if j != i:
+                    assert key is ctx.keys[j][i]
+                    assert (key == derive_pair_key(bits, round_index, i, j)).all()
 
 
 class TestBitsToMask:
@@ -105,18 +129,18 @@ class TestBitsToMask:
         assert (zeros == -gamma).all()
 
     def test_values_and_shape(self):
-        key = derive_pair_key(make_ctx(), 0, 1)
+        key = make_ctx().keys[0][1]
         stream = mask_keystream(key, tensor_ordinal=2, num_bits=12)
         m = signs_from_bits(stream.reshape(3, 4), 1e-3)
         assert m.shape == (3, 4)
         assert set(np.unique(np.abs(m))) == {1e-3}
 
     def test_deterministic(self):
-        key = derive_pair_key(make_ctx(), 1, 2)
+        key = make_ctx().keys[1][2]
         assert (mask_keystream(key, 0, 7) == mask_keystream(key.copy(), 0, 7)).all()
 
     def test_ordinal_varies_stream(self):
-        key = derive_pair_key(make_ctx(), 1, 2)
+        key = make_ctx().keys[1][2]
         assert (mask_keystream(key, 0, 64) != mask_keystream(key, 1, 64)).any()
 
     def test_rejects_non_bits(self):
@@ -146,7 +170,7 @@ class TestBitsToMask:
 
     @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
     def test_accepts_bit_keys_of_any_dtype(self, dtype):
-        key = derive_pair_key(make_ctx(), 0, 1)
+        key = make_ctx().keys[0][1]
         want = mask_keystream(key, 3, 9)
         assert (mask_keystream(key.astype(dtype), 3, 9) == want).all()
 
@@ -252,13 +276,9 @@ class TestSha256Expand:
 class TestGoldenVectors:
     def test_pair_key_vectors(self):
         for vec in GOLDEN["pair_key"]:
-            ctx = MaskingContext(
-                round_seed=bits_from_str(vec["round_seed_bits"]),
-                round_index=vec["round_index"],
-                num_clients=8,
-            )
+            seed = bits_from_str(vec["round_seed_bits"])
             # A shorter golden key is pinned as a prefix of the KEY_BITS key.
-            key = derive_pair_key(ctx, vec["i"], vec["j"])[: vec["key_bits_len"]]
+            key = derive_pair_key(seed, vec["round_index"], vec["i"], vec["j"])[: vec["key_bits_len"]]
             assert (key == bits_from_str(vec["key_bits"])).all()
 
     def test_mask_keystream_vectors(self):
@@ -306,7 +326,7 @@ class TestApplyPairwiseMasks:
         ctx = make_ctx(num_clients=5)
         pv = random_pv(rng)
         masked = apply_pairwise_masks(pv, 2, ctx).params
-        rebuilt = pvops.add(pv, pair_mask_sum(pv, 2, ctx))
+        rebuilt = pvops.add(pv, mask_sum(pv, 2, ctx))
         for (_, a), (_, b) in zip(masked.entries, rebuilt.entries):
             assert (a == b).all()
 
@@ -321,6 +341,13 @@ class TestApplyPairwiseMasks:
         with pytest.raises(ValueError):
             apply_pairwise_masks(pv, 0, make_ctx())
 
+    def test_out_of_range_rejected(self):
+        # A negative index would otherwise pick a row from the end of the table.
+        pv = ParamVec([("a", np.zeros(3))])
+        for bad in (-1, 3):
+            with pytest.raises(InvalidPairError):
+                apply_pairwise_masks(pv, bad, make_ctx(num_clients=3))
+
 
 def reference_pair_mask_sum(pv, client_index, ctx):
     """The original loop: a pair key per tensor and np.where signs."""
@@ -330,7 +357,7 @@ def reference_pair_mask_sum(pv, client_index, ctx):
         for j in range(ctx.num_clients):
             if j == client_index:
                 continue
-            key = derive_pair_key(ctx, client_index, j)
+            key = ctx.keys[client_index][j]
             stream = mask_keystream(key, ordinal, max(arr.size, 1))
             g = ctx.mask_scale
             mask = np.where(stream == 1, g, -g).astype(np.float64).reshape(arr.shape)
@@ -362,7 +389,7 @@ def count_pair_mask_sum(pv, client_index, ctx):
         for j in range(ctx.num_clients):
             if j == client_index:
                 continue
-            key = derive_pair_key(ctx, client_index, j)
+            key = ctx.keys[client_index][j]
             signs = np.where(mask_keystream(key, ordinal, max(arr.size, 1)) == 1, 1, -1)
             signed += signs if client_index < j else -signs
         # + 0.0: at gamma = 0 the running sum is +0.0, never -0.0.
@@ -374,7 +401,7 @@ def assert_matches_oracles(pv, client_index, ctx):
     """Bytewise against the count oracle; against the running sum, bytewise at
     K <= 3 (every partial sum is exact) and within K^2 * gamma * 2^-53 above."""
     k, gamma = ctx.num_clients, ctx.mask_scale
-    got = pair_mask_sum(pv, client_index, ctx)
+    got = mask_sum(pv, client_index, ctx)
     want = count_pair_mask_sum(pv, client_index, ctx)
     assert got.names() == want.names()
     for (_, a), (_, b) in zip(got.entries, want.entries):
@@ -425,7 +452,7 @@ class TestPairMaskSum:
         for i in (0, k // 2, k - 1):
             signed = k - 1 - 2 * i if bit else 2 * i - (k - 1)
             want = np.full(3, signed * 0.37 + 0.0)
-            assert pair_mask_sum(pv, i, ctx).buf.tobytes() == want.tobytes()
+            assert mask_sum(pv, i, ctx).buf.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [3, 4, 10, 11, 20])
     def test_exact_zero_fraction_of_a_mask_sum(self, k):
@@ -436,7 +463,7 @@ class TestPairMaskSum:
         ctx = make_ctx(num_clients=k, seed=k)
         pv = ParamVec([("big", np.zeros(n))])
         for i in (0, k // 2):
-            zero = np.count_nonzero(pair_mask_sum(pv, i, ctx).buf == 0.0) / n
+            zero = np.count_nonzero(mask_sum(pv, i, ctx).buf == 0.0) / n
             if k % 2 == 0:
                 assert zero == 0.0
                 continue
@@ -450,8 +477,8 @@ class TestPairMaskSum:
         k = data.draw(st.integers(2, 10))
         i = data.draw(st.integers(0, k - 1))
         j = data.draw(st.integers(0, k - 1).filter(lambda j: j != i))
-        ctx = make_ctx(num_clients=k, round_index=round_index, seed=seed)
-        assert (derive_pair_key(ctx, i, j) == derive_pair_key(ctx, j, i)).all()
+        key_ij = derive_pair_key(seed_bits(seed), round_index, i, j)
+        assert (key_ij == derive_pair_key(seed_bits(seed), round_index, j, i)).all()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -467,7 +494,7 @@ class TestPairMaskSum:
         pv = ParamVec([(f"t{n}", np.zeros(shape)) for n, shape in enumerate(shapes)])
         total = pvops.zeros_like(pv)
         for i in range(k):
-            total = pvops.add(total, pair_mask_sum(pv, i, ctx))
+            total = pvops.add(total, mask_sum(pv, i, ctx))
         assert pvops.max_abs_diff(total, pvops.zeros_like(pv)) <= 1e-12
 
 
@@ -584,12 +611,12 @@ class TestPairStreamMemo:
             ref = apply_pairwise_masks(pvs[c], c, fresh).params
             assert got.buf.tobytes() == ref.buf.tobytes()
             if step == 0:
-                parked = dict(ctx._pending_streams)
+                parked = dict(ctx.streams)
                 for bad in (-1, k):
                     with pytest.raises(InvalidPairError):
-                        pair_mask_sum(pvs[0], bad, ctx)
-                assert ctx._pending_streams.keys() == parked.keys()
-        pending = {(lo, hi) for lo, hi, _ in ctx._pending_streams}
+                        apply_pairwise_masks(pvs[0], bad, ctx)
+                assert ctx.streams.keys() == parked.keys()
+        pending = {(lo, hi) for lo, hi, _ in ctx.streams}
         if repeat is None:
             assert pending == set()
         else:
@@ -627,14 +654,13 @@ class TestPairStreamMemo:
         pvs = [mixed_pv(rng) for _ in range(k)]
         tensors = len(pvs[0].entries)
         ctx = make_ctx(num_clients=k)
+        # The context derives every pair key once; masking derives none.
+        assert counts == {"keys": k * (k - 1) // 2, "streams": 0}
         for _ in range(2):
             counts.update(keys=0, streams=0)
             batch = [apply_pairwise_masks(pv, c, ctx) for c, pv in enumerate(pvs)]
-            assert counts == {
-                "keys": k * (k - 1) // 2,
-                "streams": k * (k - 1) // 2 * tensors,
-            }
-            assert ctx._pending_streams == {}
+            assert counts == {"keys": 0, "streams": k * (k - 1) // 2 * tensors}
+            assert ctx.streams == {}
             assert pvops.max_abs_diff(aggregate(batch), pvops.mean(pvs)) <= 1e-12
 
 
@@ -766,8 +792,8 @@ class TestMaskingContext:
         ref = MaskingContext(round_seed=bits.astype(np.uint8), round_index=0, num_clients=2)
         for dtype in (bool, np.int64, np.float64):
             ctx = MaskingContext(round_seed=bits.astype(dtype), round_index=0, num_clients=2)
-            assert ctx.round_seed.dtype == np.uint8
-            assert (derive_pair_key(ctx, 0, 1) == derive_pair_key(ref, 0, 1)).all()
+            assert ctx.keys[0][1].dtype == np.uint8
+            assert (ctx.keys[0][1] == ref.keys[0][1]).all()
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_non_finite_gamma_rejected(self, gamma):
@@ -794,4 +820,32 @@ class TestMaskingContext:
         ctx0 = make_ctx(num_clients=k, round_index=0, seed=11)
         ctx1 = make_ctx(num_clients=k, round_index=1, seed=11)
         for i, j in itertools.combinations(range(k), 2):
-            assert (derive_pair_key(ctx0, i, j) != derive_pair_key(ctx1, i, j)).any()
+            assert (ctx0.keys[i][j] != ctx1.keys[i][j]).any()
+
+    def test_keeps_no_round_seed(self):
+        seed = seed_bits(13)
+        packed = np.packbits(seed).tobytes()
+        ctx = MaskingContext(round_seed=seed, round_index=0, num_clients=3)
+        rng = np.random.default_rng(13)
+        for c in range(2):  # two of three clients mask, so streams stay parked
+            apply_pairwise_masks(random_pv(rng), c, ctx)
+        assert ctx.streams
+
+        def leaves(value):
+            if isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from leaves(item)
+            elif isinstance(value, dict):
+                for item in itertools.chain(value.keys(), value.values()):
+                    yield from leaves(item)
+            else:
+                yield value
+
+        for value in leaves(list(vars(ctx).values())):
+            assert value is not seed
+            if isinstance(value, np.ndarray):
+                assert not np.shares_memory(value, seed)
+                assert not np.array_equal(value, seed)
+                assert value.tobytes() not in (packed, seed.tobytes())
+            elif isinstance(value, (bytes, bytearray)):
+                assert value not in (packed, seed.tobytes())
