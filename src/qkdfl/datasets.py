@@ -51,14 +51,15 @@ _CHANNEL_GAINS = np.array([1.0, 0.85, 0.7])
 DEPTH = {"channel": 1, "radar": len(_CHANNEL_GAINS)}
 
 
-@dataclass
+# Samples compare by identity: a field-wise __eq__ would compare arrays and raise.
+@dataclass(eq=False)
 class ChannelSample:
     pilots: np.ndarray  # (H, W, 1) |y|
     truth: np.ndarray  # (H, W, 1) |h|
     snr_db: float
 
 
-@dataclass
+@dataclass(eq=False)
 class RadarSample:
     spectrogram: np.ndarray  # (S, S, 3)
     labels: np.ndarray  # (S, S) ints in {0, 1, 2, 3}

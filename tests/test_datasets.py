@@ -342,3 +342,17 @@ class TestContainer:
         x, y = stack_batch(samples)
         assert x.shape == (3, 16, 14, 1)
         assert y.shape == (3, 16, 14, 1)
+
+
+class TestSampleIdentity:
+    @pytest.mark.parametrize(
+        "make", [lambda: gen_channel_dataset(1, 10.0, dims=(8, 4), seed=0)[0],
+                 lambda: gen_radar_dataset(1, size=16, seed=0)[0]],
+        ids=["channel", "radar"],
+    )
+    def test_compare_and_hash_by_identity(self, make):
+        # A field-wise __eq__ would compare arrays and raise ValueError.
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert b in [a, b] and a not in [b]

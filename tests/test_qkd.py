@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdfl import qkd
@@ -34,6 +35,21 @@ class TestConfigValidation:
             BB84Config(depolarize_prob=-0.1)
         with pytest.raises(ValueError):
             BB84Config(depolarize_prob=1.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", 2.0), ("rng_seed", True),
+         ("rng_seed", "7"), ("rng_seed", None), ("raw_len", 2000.0), ("raw_len", False)],
+    )
+    def test_seed_and_length_are_integers(self, field, value):
+        # Caught here, not later inside numpy with an unnamed error.
+        with pytest.raises(ValueError, match=field):
+            BB84Config(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = BB84Config(raw_len=np.int64(100), rng_seed=np.uint64(2**64 - 1))
+        assert type(cfg.raw_len) is int and type(cfg.rng_seed) is int
+        assert run_bb84(cfg) == run_bb84(BB84Config(raw_len=100, rng_seed=2**64 - 1))
 
 
 class TestQberOf:
@@ -243,6 +259,78 @@ class TestRunBB84:
             run_bb84(BB84Config(raw_len=64, rng_seed=0))
 
 
+class TestSessionEquality:
+    def test_equal_outcomes_compare_and_hash_equal(self):
+        cfg = BB84Config(rng_seed=42, eve_present=True, depolarize_prob=0.05)
+        a, b = run_bb84(cfg), run_bb84(cfg)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_each_field_tells_sessions_apart(self):
+        s = run_bb84(BB84Config(rng_seed=3))
+        flipped = s.key.copy()
+        flipped[0] ^= 1
+        for change in (
+            {"key": flipped}, {"key": s.key[:-1]}, {"qber": 0.5},
+            {"sifted_len": s.sifted_len + 1}, {"final_len": s.final_len - 1},
+        ):
+            assert s != dataclasses.replace(s, **change)
+        assert s != (s.qber, s.sifted_len, s.final_len, s.key.tobytes())
+
+
+def reference_session(cfg: BB84Config) -> qkd.QkdSession:
+    """A session from Generator draws and np.where selections, one child per substream."""
+    n = cfg.raw_len
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.rng_seed).spawn(5)]
+
+    def bits(stream):
+        return rngs[stream].integers(0, 2, n, dtype=np.uint8)
+
+    alice_bits, alice_bases = bits(qkd.ALICE_BITS), bits(qkd.ALICE_BASES)
+    state_bits, state_bases = alice_bits, alice_bases
+    if cfg.eve_present:
+        eve_bases, eve_coins = bits(qkd.EVE), bits(qkd.EVE)
+        state_bits = np.where(eve_bases == state_bases, state_bits, eve_coins)
+        state_bases = eve_bases
+    uniforms = rngs[qkd.NOISE].random(n)
+    state_bits = np.where(uniforms < cfg.depolarize_prob, bits(qkd.NOISE), state_bits)
+    bob_bases, bob_coins = bits(qkd.BOB), bits(qkd.BOB)
+    bob_bits = np.where(bob_bases == state_bases, state_bits, bob_coins)
+
+    sift = alice_bases == bob_bases
+    sifted_len = int(sift.sum())
+    qber = float(np.sum(alice_bits[sift] != bob_bits[sift])) / sifted_len
+    final_len = int(cfg.pa_ratio * sifted_len)
+    prefix = np.packbits(bob_bits[sift]).tobytes()
+    stream = b"".join(
+        hashlib.sha256(prefix + t.to_bytes(8, "little")).digest()
+        for t in range(-(-final_len // 256))
+    )
+    key = np.unpackbits(np.frombuffer(stream, np.uint8))[:final_len]
+    return qkd.QkdSession(key=key, sifted_len=sifted_len, final_len=final_len, qber=qber)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**128),
+    raw_len=st.integers(64, 5000),
+    eta=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    eve=st.booleans(),
+    ratio=st.floats(0.0, 1.0, exclude_min=True),
+)
+@example(seed=2**128, raw_len=5000, eta=1.0, eve=True, ratio=1.0)
+@example(seed=0, raw_len=64, eta=0.0, eve=False, ratio=0.8)
+@example(seed=2**64, raw_len=2001, eta=1.0, eve=False, ratio=0.8)
+@example(seed=2**96 - 1, raw_len=2003, eta=0.0, eve=True, ratio=0.8)
+def test_session_matches_reference(seed, raw_len, eta, eve, ratio):
+    cfg = BB84Config(
+        raw_len=raw_len, pa_ratio=ratio, depolarize_prob=eta, eve_present=eve, rng_seed=seed
+    )
+    got, want = run_bb84(cfg), reference_session(cfg)
+    assert (got.qber, got.sifted_len, got.final_len) == (want.qber, want.sifted_len, want.final_len)
+    assert got.key.dtype == np.uint8 and np.array_equal(got.key, want.key)
+
+
 # SHA-256 over (qber, sifted_len, final_len, key) of every session in
 # SESSION_GRID, taken from the spawn(5) + Generator implementation that
 # raw-word draws replaced.  A deliberate change to a session moves it.
@@ -283,18 +371,33 @@ class TestSubstreamDraws:
         assert k.size == 0 and got.dtype == np.uint8 and got.shape == (2, n)
         assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
 
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 - 1, 2**128 - 1, 2**128, 2**200 + 5]
+    )
+    def test_seeds_of_every_width(self, seed):
+        # A seed of up to four 32-bit words is zero-padded to four before
+        # the stream index; a longer one is not padded.
+        for stream in range(5):
+            rng = self.generator(seed, stream)
+            u, bits = rng.random(70), rng.integers(0, 2, 70, dtype=np.uint8)
+            words, (got,) = substream_draws(seed, stream, 70, 1, uniforms=70)
+            assert ((words >> 11) * 2.0**-53 == u).all() and (got == bits).all()
+
     @pytest.mark.parametrize("n", [64, 65, 67, 131, 2001, 20_000])
     def test_uniforms_then_bits(self, n):
         seed = 3 * n
         rng = self.generator(seed, qkd.NOISE)
         u, bits = rng.random(n), rng.integers(0, 2, n, dtype=np.uint8)
-        k, (got,) = substream_draws(seed, qkd.NOISE, n, 1, uniforms=n)
-        assert (k * 2.0**-53 == u).all()
+        words, (got,) = substream_draws(seed, qkd.NOISE, n, 1, uniforms=n)
+        assert ((words >> 11) * 2.0**-53 == u).all()
         assert (got == bits).all()
 
     def test_threshold_on_the_integer_matches_the_float(self):
-        # run_bb84 replaces where k < ceil(eta · 2**53) instead of k · 2**-53 < eta.
-        k, _ = substream_draws(5, qkd.NOISE, 64, 1, uniforms=20_000)
-        u = k * 2.0**-53
-        for eta in (*np.sort(u)[::997], 0.05, 0.2, 1.0, 5e-324):
-            assert ((k < math.ceil(eta * 2.0**53)) == (u < eta)).all()
+        # run_bb84 replaces where the raw word is at most
+        # ceil(eta · 2**53) · 2**11 - 1 (2**64 - 1 at eta = 1) instead of
+        # where (word >> 11) · 2**-53 < eta.
+        words, _ = substream_draws(5, qkd.NOISE, 64, 1, uniforms=20_000)
+        u = (words >> 11) * 2.0**-53
+        for eta in (*np.sort(u)[::997], 0.05, 0.2, 1.0, 1 - 2.0**-53, 5e-324):
+            last = (math.ceil(eta * 2.0**53) << 11) - 1
+            assert ((words <= last) == (u < eta)).all()
