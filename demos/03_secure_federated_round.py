@@ -34,7 +34,7 @@ print("\nsecure round")
 print(f"  status {report.status}, QBER {report.qber}")
 print(f"  val NMSE {report.utility['nmse']:.4f}")
 print(f"  reconstruction error {report.recon_error:.2e}")
-print(f"  mean leakage cosine {report.mean_cosine():.4f}")
+print(f"  mean leakage cosine {report.leakage_mean_cosine:.4f}")
 print(f"  traffic: {report.bytes_down} B down, {report.bytes_up} B up")
 
 # Under attack every round aborts: the key material is discarded, nothing is
@@ -43,7 +43,7 @@ cfg_eve = RoundConfig(mode="qkd_sa", bb84=BB84Config(eve_present=True), **base)
 final, reports = run_training(initial, 5, cfg_eve, shards, val)
 print("\nattacked run (5 rounds)")
 for r in reports:
-    print(f"  round {r.round_index}: {r.status}, QBER {r.qber:.3f}, "
+    print(f"  round {r.round}: {r.status}, QBER {r.qber:.3f}, "
           f"val NMSE {r.utility['nmse']:.4f}")
 frozen = all((a == b).all() for (_, a), (_, b) in zip(final.entries, initial.entries))
 print(f"  global model bit-identical to start: {frozen}")

@@ -280,14 +280,6 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _utility_columns(utility: dict) -> dict:
-    return {
-        "nmse": utility.get("nmse"),
-        "accuracy": utility.get("accuracy"),
-        "miou": utility.get("miou"),
-    }
-
-
 # Fixed threat-model arms; the attack arm always runs the masked mode under Eve.
 _B_ARMS = (
     ("baseline", "plain", False),
@@ -350,7 +342,7 @@ def _run_cell(args) -> dict[str, list[dict]]:
         {**r.to_json_dict(), "cell": dict(coords), "config_hash": head["config_hash"]}
         for r in reports
     ]
-    final = _utility_columns(reports[-1].utility)
+    final = reports[-1].utility
     secure = sum(r.status == STATUS_SECURE for r in reports)
     aborted = sum(r.status == STATUS_ABORTED for r in reports)
 
@@ -373,11 +365,7 @@ def _run_cell(args) -> dict[str, list[dict]]:
     qbers = [r.qber for r in reports if r.qber is not None]
     return {
         "rounds.jsonl": rounds,
-        "exp_b_rounds.csv": [
-            {**arm_columns, "round": d["round"], "status": d["status"], "qber": d["qber"],
-             **_utility_columns(d["utility"])}
-            for d in rounds
-        ],
+        "exp_b_rounds.csv": [{**d["utility"], **d, **arm_columns} for d in rounds],
         "exp_b_summary.csv": [{
             **arm_columns,
             "rounds": len(reports),
@@ -431,13 +419,16 @@ def _csv_value(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, name: str, rows: list[dict]) -> None:
+def write_csv(path: Path, name: str, rows: list[dict]) -> list[dict]:
+    """Write `rows` projected onto the columns of CSV_SCHEMAS[name], None
+    for a column a row lacks; returns the projected rows."""
     columns = CSV_SCHEMAS[name]
+    table = [{col: row.get(col) for col in columns} for row in rows]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_value(row.get(col)) for col in columns])
+        writer.writerows([_csv_value(v) for v in row.values()] for row in table)
+    return table
 
 
 def _write_json(path: Path, obj) -> None:
@@ -486,8 +477,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     for name, rows in tables.items():
         if name.endswith(".jsonl"):
             _write_jsonl(out / name, rows)
-        else:
-            write_csv(out / name, name, rows)
+        else:  # the summary echoes the table as written
+            rows = write_csv(out / name, name, rows)
         if name in _SUMMARY_KEYS:
             summary[_SUMMARY_KEYS[name]] = rows
 
@@ -561,17 +552,19 @@ def report_leakage(run_dir, out_dir=None) -> list[dict]:
         cell = d.get("cell", {})
         if not (isinstance(d["utility"], dict) and isinstance(cell, dict)):
             raise ConfigError(f"{where}: utility and cell must be JSON objects")
-        util = _utility_columns(d["utility"])
-        cell_label = ",".join(f"{k}={cell[k]}" for k in sorted(cell))
+        # Each value the row writes must have its JSON type (exact: no bools).
+        if type(d["round"]) is not int:
+            raise ConfigError(f"{where}: round must be an integer")
+        numbers = {key: d[key] for key in ("qber", "leakage_mean_cosine", "leakage_mean_pearson")}
+        numbers.update((f"utility.{m}", d["utility"].get(m)) for m in ("nmse", "accuracy", "miou"))
+        for key, value in numbers.items():
+            if value is not None and type(value) not in (int, float):
+                raise ConfigError(f"{where}: {key} must be a number or null")
         rows.append({
+            **d["utility"], **d,
             "schema_version": SCHEMA_VERSION,
             "config_hash": manifest["config_hash"],
-            "cell": cell_label,
-            "round": d["round"],
-            "qber": d["qber"],
-            "nmse": util["nmse"],
-            "accuracy": util["accuracy"],
-            "miou": util["miou"],
+            "cell": ",".join(f"{k}={cell[k]}" for k in sorted(cell)),
             "mean_cosine": d["leakage_mean_cosine"],
             "mean_pearson": d["leakage_mean_pearson"],
         })
@@ -580,5 +573,4 @@ def report_leakage(run_dir, out_dir=None) -> list[dict]:
 
     out = Path(out_dir) if out_dir else run
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "leakage.csv", "leakage.csv", rows)
-    return rows
+    return write_csv(out / "leakage.csv", "leakage.csv", rows)

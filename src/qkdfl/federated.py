@@ -126,9 +126,11 @@ class RoundConfig:
 
 @dataclass
 class RoundReport:
-    """Per-round outcome: status, key statistics, quality and traffic."""
+    """Per-round outcome, field for field a rounds.jsonl line (the runner
+    adds `cell` and `config_hash`).  A client's undefined leakage proxy is
+    None, and the means skip it."""
 
-    round_index: int
+    round: int
     mode: str
     status: str
     qber: float | None
@@ -136,36 +138,19 @@ class RoundReport:
     final_len: int | None
     utility: dict
     recon_error: float | None
-    leakage: list[tuple[float | None, float | None]]
+    leakage_per_client: list[dict]
+    leakage_mean_cosine: float | None
+    leakage_mean_pearson: float | None
     bytes_down: int
     bytes_up: int
 
-    def mean_cosine(self) -> float | None:
-        vals = [c for c, _ in self.leakage if c is not None]
-        return float(np.mean(vals)) if vals else None
-
-    def mean_pearson(self) -> float | None:
-        vals = [p for _, p in self.leakage if p is not None]
-        return float(np.mean(vals)) if vals else None
-
     def to_json_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "mode": self.mode,
-            "status": self.status,
-            "qber": self.qber,
-            "sifted_len": self.sifted_len,
-            "final_len": self.final_len,
-            "utility": self.utility,
-            "recon_error": self.recon_error,
-            "leakage_per_client": [
-                {"cosine": c, "pearson": p} for c, p in self.leakage
-            ],
-            "leakage_mean_cosine": self.mean_cosine(),
-            "leakage_mean_pearson": self.mean_pearson(),
-            "bytes_down": self.bytes_down,
-            "bytes_up": self.bytes_up,
-        }
+        return dataclasses.asdict(self)
+
+
+def _mean_proxy(leakage: list[dict], proxy: str) -> float | None:
+    vals = [c[proxy] for c in leakage if c[proxy] is not None]
+    return float(np.mean(vals)) if vals else None
 
 
 def _evaluate(cfg: RoundConfig, pv: ParamVec, val_data: list | None) -> dict:
@@ -303,13 +288,14 @@ def run_round(
             true_delta = pvops.sub(updates[k], global_params)
             masked_delta = pvops.sub(uploads[k], global_params)
             try:
-                leakage.append(leakage_proxies(true_delta, masked_delta))
+                cosine, pearson = leakage_proxies(true_delta, masked_delta)
             except UndefinedProxyError:
-                leakage.append((None, None))
+                cosine = pearson = None
+            leakage.append({"cosine": cosine, "pearson": pearson})
         nbytes = global_params.nbytes_serialized
 
     report = RoundReport(
-        round_index=cfg.round_index,
+        round=cfg.round_index,
         mode=cfg.mode,
         status=status,
         qber=qber,
@@ -317,7 +303,9 @@ def run_round(
         final_len=final_len,
         utility=_evaluate(cfg, new_global, val_data),
         recon_error=recon_error,
-        leakage=leakage,
+        leakage_per_client=leakage,
+        leakage_mean_cosine=_mean_proxy(leakage, "cosine"),
+        leakage_mean_pearson=_mean_proxy(leakage, "pearson"),
         bytes_down=nbytes,
         bytes_up=cfg.num_clients * nbytes,
     )

@@ -176,6 +176,31 @@ class TestReportVerb:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and name in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key,value,named",
+        [
+            ("round", "x", "round"),
+            ("round", True, "round"),
+            ("qber", {"a": 1}, "qber"),
+            ("utility", {"nmse": "bad"}, "utility.nmse"),
+            ("utility", {"nmse": 0.5, "miou": [0.1]}, "utility.miou"),
+            ("leakage_mean_cosine", [1, 2], "leakage_mean_cosine"),
+            ("leakage_mean_pearson", "1.0", "leakage_mean_pearson"),
+        ],
+    )
+    def test_report_rejects_a_value_of_the_wrong_type(self, tmp_path, capsys, key, value, named):
+        cfg = write_cfg(tmp_path, epochs=1)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        rounds = out / "rounds.jsonl"
+        rounds.write_text(json.dumps({**json.loads(rounds.read_text()), key: value}) + "\n")
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"rounds.jsonl:1: {named} " in err and "Traceback" not in err
+        assert not (out / "leakage.csv").exists()
+
 
 class TestValidateVerb:
     def test_valid_config(self, tmp_path, capsys):

@@ -129,7 +129,7 @@ class TestRunRound:
         assert report.status == STATUS_ABORTED
         assert report.qber > cfg.qber_threshold
         assert report.bytes_down == 0 and report.bytes_up == 0
-        assert report.leakage == []
+        assert report.leakage_per_client == []
         for (_, a), (_, b) in zip(new_pv.entries, pv.entries):
             assert (a == b).all()
 
@@ -182,22 +182,22 @@ class TestRunRound:
         _, report = run_round(pv, shards, make_cfg("plain"))
         assert report.recon_error == 0.0
         assert report.qber is None
-        assert all(c == 1.0 for c, _ in report.leakage)
+        assert all(c["cosine"] == 1.0 for c in report.leakage_per_client)
 
     def test_leakage_bounds(self):
         shards, _ = channel_setup()
         pv = init_params(CHANNEL_SPEC)
         for mode in MODES:
             _, report = run_round(pv, shards, make_cfg(mode))
-            for cos, pear in report.leakage:
-                assert abs(cos) <= 1.0 + 1e-12
-                assert abs(pear) <= 1.0 + 1e-12
+            for c in report.leakage_per_client:
+                assert abs(c["cosine"]) <= 1.0 + 1e-12
+                assert abs(c["pearson"]) <= 1.0 + 1e-12
 
     def test_masked_cosine_below_one(self):
         shards, _ = channel_setup()
         pv = init_params(CHANNEL_SPEC)
         _, report = run_round(pv, shards, make_cfg("qkd_sa"))
-        assert all(c < 1.0 for c, _ in report.leakage)
+        assert all(c["cosine"] < 1.0 for c in report.leakage_per_client)
 
     def test_byte_accounting(self):
         shards, _ = channel_setup()
@@ -240,7 +240,7 @@ class TestRunTraining:
         shards, _ = channel_setup()
         pv = init_params(CHANNEL_SPEC)
         _, reports = run_training(pv, 3, make_cfg("plain"), shards)
-        assert [r.round_index for r in reports] == [0, 1, 2]
+        assert [r.round for r in reports] == [0, 1, 2]
 
     def test_deterministic_run(self):
         shards, val = channel_setup()
