@@ -532,6 +532,8 @@ def report_leakage(run_dir, out_dir=None) -> list[dict]:
     )
     if not isinstance(manifest["files"], list):
         raise ConfigError(f"{manifest_path}: files must be a JSON list")
+    if not isinstance(manifest["config_hash"], str):
+        raise ConfigError(f"{manifest_path}: config_hash must be a JSON string")
     # Only a rounds file this run wrote, which its manifest lists.
     rounds_path = run / "rounds.jsonl"
     lines = []
@@ -555,6 +557,9 @@ def report_leakage(run_dir, out_dir=None) -> list[dict]:
         # Each value the row writes must have its JSON type (exact: no bools).
         if type(d["round"]) is not int:
             raise ConfigError(f"{where}: round must be an integer")
+        for key in sorted(cell):
+            if cell[key] is not None and type(cell[key]) not in (str, int, float, bool):
+                raise ConfigError(f"{where}: cell.{key} must be a string, number, bool or null")
         numbers = {key: d[key] for key in ("qber", "leakage_mean_cosine", "leakage_mean_pearson")}
         numbers.update((f"utility.{m}", d["utility"].get(m)) for m in ("nmse", "accuracy", "miou"))
         for key, value in numbers.items():

@@ -39,6 +39,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -83,12 +84,43 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+# SeedSequence's output hash constants h_0, h_1, h_2: h_0 = 0x8B51F9DD and
+# h_{k+1} = h_k * 0x58F38DED mod 2**32 (numpy's INIT_B and MULT_B).
+_SEED_HASH = (0x8B51F9DD, 0x464A0A99, 0x819D14A5)
+
+
+def _entropy_words(values) -> bytes:
+    """Non-negative ints as SeedSequence's uint32 entropy words, little-endian:
+    each value's 32-bit words, low first, and a zero value is one word."""
+    try:
+        if bool in map(type, values):  # True would code as 1
+            raise TypeError
+        return b"".join([
+            v.to_bytes((v.bit_length() + 31) // 32 * 4 or 4, "little")
+            for v in map(operator.index, values)
+        ])
+    except (TypeError, OverflowError):
+        raise ValueError(f"seed entries must be non-negative integers, got {values!r}") from None
+
+
 def derive_seed(master_seed: int, *path: int) -> int:
-    """Stable 64-bit seed for a labeled point in the run's seed tree."""
-    ss = np.random.SeedSequence([int(master_seed), *[int(p) for p in path]])
-    # The uint64 state word: numpy builds it from this little-endian pair.
-    lo, hi = ss.generate_state(2).tolist()
-    return lo | hi << 32
+    """Stable 64-bit seed for a labeled point in the run's seed tree.
+
+    The seed is the uint64 state word of `SeedSequence([master_seed, *path])`,
+    which numpy's stream policy keeps stable (NEP 19).  Each entry is coded
+    as its 32-bit words, low first, a zero entry as one word, and the seed
+    is output words 0 and 1 read as a little-endian pair.  Entries are
+    non-negative integers, numpy's included; a negative, bool or
+    non-integral entry is a ValueError.
+    """
+    # Handing SeedSequence one uint32 array skips its Python-level coercion
+    # of each int.  The output hash of `generate_state(2)`, x = (pool[k] ^
+    # h_k) * h_{k+1} mod 2**32 then x ^ (x >> 16), is computed from the pool
+    # in Python ints, without that method's numpy-scalar loop.
+    entropy = np.frombuffer(_entropy_words((master_seed, *path)), "<u4")
+    pool, h = np.random.SeedSequence(entropy).pool.tolist(), _SEED_HASH
+    lo, hi = ((pool[k] ^ h[k]) * h[k + 1] & 0xFFFFFFFF for k in (0, 1))
+    return (lo ^ lo >> 16) | (hi ^ hi >> 16) << 32
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,49 @@ class TestReportVerb:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert f"rounds.jsonl:1: {named} " in err and "Traceback" not in err
         assert not (out / "leakage.csv").exists()
+
+    B_FIXTURE = Path(__file__).parent / "golden" / "runs" / "exp_b_channel"
+
+    @staticmethod
+    def damage_b_copy(tmp_path, name, key, value, line=None):
+        """A copy of the B fixture run with `key` set to `value` in the
+        manifest, or in the cell of one rounds.jsonl line."""
+        run = tmp_path / "run"
+        shutil.copytree(TestReportVerb.B_FIXTURE, run)
+        (run / "leakage.csv").unlink()
+        target = run / name
+        if line is None:
+            target.write_text(json.dumps({**json.loads(target.read_text()), key: value}))
+        else:
+            records = [json.loads(text) for text in target.read_text().splitlines()]
+            records[line - 1]["cell"][key] = value
+            target.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return run
+
+    @pytest.mark.parametrize(
+        "name,line,key,value",
+        [
+            ("rounds.jsonl", 2, "arm", ["x", {"y": 1}]),
+            ("rounds.jsonl", 1, "eve", {"y": 1}),
+            ("manifest.json", None, "config_hash", {"h": [1]}),
+            ("manifest.json", None, "config_hash", 7),
+        ],
+        ids=["cell-list", "cell-object", "config-hash-object", "config-hash-number"],
+    )
+    def test_report_rejects_a_damaged_cell_or_config_hash(self, tmp_path, capsys, name, line, key, value):
+        run = self.damage_b_copy(tmp_path, name, key, value, line)
+        capsys.readouterr()
+        assert main(["report", str(run)]) == 1
+        err = capsys.readouterr().err
+        where = f"{name}:{line}: cell.{key} " if line else f"{name}: {key} "
+        assert err.startswith("config error: ") and where in err and "Traceback" not in err
+        assert not (run / "leakage.csv").exists()
+
+    def test_report_writes_json_scalars_in_a_cell(self, tmp_path):
+        run = self.damage_b_copy(tmp_path, "rounds.jsonl", "arm", None, line=2)
+        assert main(["report", str(run)]) == 0
+        rows = (run / "leakage.csv").read_text().splitlines()
+        assert rows[2].startswith('1,991ac81624a163b4,"arm=None,clients=3,eve=False,mode=qkd_sa",')
 
 
 class TestValidateVerb:
