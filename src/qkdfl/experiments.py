@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import seeds
 from .datasets import gen_channel_dataset, gen_radar_dataset
 from .errors import ConfigError
 from .federated import (
@@ -42,13 +43,13 @@ from .federated import (
     STATUS_ABORTED,
     STATUS_SECURE,
     RoundConfig,
-    derive_seed,
     partition_non_iid,
     run_training,
     usable_cores,
 )
 from .models import ModelSpec, TASK_CHANNEL, TASK_RADAR, init_params
 from .qkd import BB84Config, run_bb84
+from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -57,13 +58,8 @@ SCHEMA_VERSION = 1
 EXPERIMENTS = ("A", "B", "C")
 TASKS = (TASK_CHANNEL, TASK_RADAR)
 
-# Seed-path tags for run-level derivations (round/client tags live in federated).
-_TAG_TRAIN_DATA = 100
-_TAG_VAL_DATA = 101
-_TAG_PARTITION = 102
-_TAG_FL_MASTER = 103
-_TAG_MODEL_INIT = 104
-_TAG_SWEEP = 105
+_TAG_PARTITION = seeds.PARTITION  # alias: perfbench/workloads.py reads it
+_TAG_SWEEP = seeds.SWEEP  # alias: perfbench/workloads.py reads it
 
 CSV_SCHEMAS = {
     "exp_a_summary.csv": [
@@ -236,7 +232,7 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def model_spec(self) -> ModelSpec:
-        return ModelSpec(task=self.task, init_seed=derive_seed(self.seed, _TAG_MODEL_INIT))
+        return ModelSpec(task=self.task, init_seed=derive_seed(self.seed, seeds.MODEL_INIT))
 
     def bb84_template(self, eve: bool) -> BB84Config:
         return BB84Config(
@@ -246,8 +242,8 @@ class ExperimentConfig:
         )
 
     def make_datasets(self) -> tuple[list, list]:
-        train_seed = derive_seed(self.seed, _TAG_TRAIN_DATA)
-        val_seed = derive_seed(self.seed, _TAG_VAL_DATA)
+        train_seed = derive_seed(self.seed, seeds.TRAIN_DATA)
+        val_seed = derive_seed(self.seed, seeds.VAL_DATA)
         if self.task == TASK_CHANNEL:
             train = gen_channel_dataset(
                 self.train_samples, self.snr_db, self.channel_dims, train_seed
@@ -268,7 +264,7 @@ class ExperimentConfig:
             model=self.model_spec(),
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
-            master_seed=derive_seed(self.seed, _TAG_FL_MASTER),
+            master_seed=derive_seed(self.seed, seeds.FL_MASTER),
             qber_threshold=self.qber_threshold,
             bb84=self.bb84_template(eve),
             mask_scale=self.mask_scale,
@@ -310,7 +306,7 @@ def _run_cell(args) -> dict[str, list[dict]]:
         sessions = [
             run_bb84(dataclasses.replace(
                 template, depolarize_prob=eta,
-                rng_seed=derive_seed(cfg.seed, _TAG_SWEEP, index, s),
+                rng_seed=derive_seed(cfg.seed, seeds.SWEEP, index, s),
             ))
             for s in range(cfg.sessions_per_point)
         ]
@@ -329,7 +325,7 @@ def _run_cell(args) -> dict[str, list[dict]]:
     arm, k, mode, eve = cell
     train, val = cfg.make_datasets()
     shards = partition_non_iid(
-        train, k, cfg.partition_skew, derive_seed(cfg.seed, _TAG_PARTITION, k)
+        train, k, cfg.partition_skew, derive_seed(cfg.seed, seeds.PARTITION, k)
     )
     _, reports = run_training(
         init_params(cfg.model_spec()), cfg.rounds, cfg.round_config(k, mode, eve), shards, val,
@@ -454,6 +450,16 @@ _SUMMARY_KEYS = {
 }
 
 
+def _check_out_dir(out_dir) -> Path:
+    """`out_dir` as a Path, if it or its nearest existing ancestor is a
+    directory; else a ConfigError that names it.  Creates nothing."""
+    out = Path(out_dir)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"{out}: not an output directory ({found} is not a directory)")
+    return out
+
+
 # Every file a run, or the report verb, writes into a run directory.
 _RUN_FILES = ("manifest.json", "summary.json", "rounds.jsonl", *CSV_SCHEMAS)
 
@@ -466,8 +472,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     earlier run survives beside this run's manifest.  Returns the manifest
     dict.
     """
+    out = _check_out_dir(out_dir)
     tables = run_cells(cfg)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if (out / "manifest.json").exists():
         for name in _RUN_FILES:
@@ -524,6 +530,7 @@ def report_leakage(run_dir, out_dir=None) -> list[dict]:
     names its file.
     """
     run = Path(run_dir)
+    out = _check_out_dir(out_dir) if out_dir else run
     manifest_path = run / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"{run}: not a run directory (missing manifest.json)")
@@ -576,6 +583,5 @@ def report_leakage(run_dir, out_dir=None) -> list[dict]:
     if not rows:
         logger.warning("%s: no SECURE rounds found; leakage table is empty", run)
 
-    out = Path(out_dir) if out_dir else run
     out.mkdir(parents=True, exist_ok=True)
     return write_csv(out / "leakage.csv", "leakage.csv", rows)

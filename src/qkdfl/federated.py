@@ -20,8 +20,8 @@ Aggregation modes:
     qkd_sa       pairwise masking, round seed from the BB84 session key
 
 All per-round and per-client randomness is derived from one master seed
-through labeled seed paths, so runs are reproducible and the two masked
-modes train identically to plain given the same master seed.
+through the labeled paths of `seeds`, so runs are reproducible and the
+two masked modes train identically to plain given the same master seed.
 
 A round's K local trainings are independent, so they run concurrently: the
 calling thread trains clients, and so do `trainers - 1` helper threads
@@ -39,14 +39,13 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import params as pvops
+from . import params as pvops, seeds
 from .datasets import ChannelSample, RadarSample
 from .errors import UndefinedProxyError
 from .masking import (
@@ -61,6 +60,7 @@ from .metrics import eval_channel, eval_radar
 from .models import ModelSpec, TASK_CHANNEL
 from .params import ParamVec
 from .qkd import BB84Config, run_bb84
+from .seeds import derive_seed  # also read as federated.derive_seed by perfbench
 from .training import train_local
 
 MODES = ("plain", "classical_sa", "qkd_sa")
@@ -68,11 +68,6 @@ MASKED_MODES = ("classical_sa", "qkd_sa")
 
 STATUS_SECURE = "SECURE"
 STATUS_ABORTED = "ABORTED"
-
-# Seed-path tags; fixed constants keep derived streams disjoint.
-_TAG_QKD = 1
-_TAG_ROUND_KEY = 2
-_TAG_TRAIN = 3
 
 
 def usable_cores() -> int:
@@ -82,45 +77,6 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-# SeedSequence's output hash constants h_0, h_1, h_2: h_0 = 0x8B51F9DD and
-# h_{k+1} = h_k * 0x58F38DED mod 2**32 (numpy's INIT_B and MULT_B).
-_SEED_HASH = (0x8B51F9DD, 0x464A0A99, 0x819D14A5)
-
-
-def _entropy_words(values) -> bytes:
-    """Non-negative ints as SeedSequence's uint32 entropy words, little-endian:
-    each value's 32-bit words, low first, and a zero value is one word."""
-    try:
-        if bool in map(type, values):  # True would code as 1
-            raise TypeError
-        return b"".join([
-            v.to_bytes((v.bit_length() + 31) // 32 * 4 or 4, "little")
-            for v in map(operator.index, values)
-        ])
-    except (TypeError, OverflowError):
-        raise ValueError(f"seed entries must be non-negative integers, got {values!r}") from None
-
-
-def derive_seed(master_seed: int, *path: int) -> int:
-    """Stable 64-bit seed for a labeled point in the run's seed tree.
-
-    The seed is the uint64 state word of `SeedSequence([master_seed, *path])`,
-    which numpy's stream policy keeps stable (NEP 19).  Each entry is coded
-    as its 32-bit words, low first, a zero entry as one word, and the seed
-    is output words 0 and 1 read as a little-endian pair.  Entries are
-    non-negative integers, numpy's included; a negative, bool or
-    non-integral entry is a ValueError.
-    """
-    # Handing SeedSequence one uint32 array skips its Python-level coercion
-    # of each int.  The output hash of `generate_state(2)`, x = (pool[k] ^
-    # h_k) * h_{k+1} mod 2**32 then x ^ (x >> 16), is computed from the pool
-    # in Python ints, without that method's numpy-scalar loop.
-    entropy = np.frombuffer(_entropy_words((master_seed, *path)), "<u4")
-    pool, h = np.random.SeedSequence(entropy).pool.tolist(), _SEED_HASH
-    lo, hi = ((pool[k] ^ h[k]) * h[k + 1] & 0xFFFFFFFF for k in (0, 1))
-    return (lo ^ lo >> 16) | (hi ^ hi >> 16) << 32
 
 
 @dataclass(frozen=True)
@@ -198,7 +154,7 @@ def _round_seed_bits(cfg: RoundConfig, session_key: np.ndarray | None) -> np.nda
     if cfg.mode == "qkd_sa":
         return session_key
     prg = np.random.default_rng(
-        derive_seed(cfg.master_seed, cfg.round_index, _TAG_ROUND_KEY)
+        derive_seed(cfg.master_seed, cfg.round_index, seeds.ROUND_KEY)
     )
     return prg.integers(0, 2, size=KEY_BITS, dtype=np.uint8)
 
@@ -238,7 +194,7 @@ def _train_clients(
                     cfg.epochs,
                     cfg.learning_rate,
                     cfg.batch_size,
-                    seed=derive_seed(cfg.master_seed, cfg.round_index, _TAG_TRAIN, k),
+                    seed=derive_seed(cfg.master_seed, cfg.round_index, seeds.TRAIN, k),
                 )
             except Exception as exc:  # re-raised by the caller below
                 failures[k] = exc
@@ -284,7 +240,7 @@ def run_round(
     if cfg.mode == "qkd_sa":
         bb84 = dataclasses.replace(
             cfg.bb84,
-            rng_seed=derive_seed(cfg.master_seed, cfg.round_index, _TAG_QKD),
+            rng_seed=derive_seed(cfg.master_seed, cfg.round_index, seeds.QKD),
         )
         session = run_bb84(bb84)
         qber, sifted_len, final_len = session.qber, session.sifted_len, session.final_len

@@ -9,13 +9,11 @@ probability eta the in-flight bit is replaced by a uniform random bit,
 giving a matched-basis error rate of eta/2).  Eve acts before the noise.
 
 A session is a pure function of its config: every random choice comes
-from one of five labeled substreams (Alice bits, Alice bases, Eve, noise,
-Bob), child i of `SeedSequence(rng_seed).spawn(5)`, so toggling the
-eavesdropper or the noise level does not perturb the other draws.  Each
-substream is a bare PCG64 read as raw 64-bit words (`substream_draws`),
-which gives exactly what `default_rng` on that child would give, and is
-built only when a draw needs it: Eve's when she is present, the noise
-stream when eta > 0.
+from one of five labeled substreams of its seed (`seeds.substream`; the
+table in `qkdfl.seeds` gives the seed tree), so toggling the eavesdropper
+or the noise level does not perturb the other draws.  A substream is read
+as raw 64-bit words (`substream_draws`) and built only when a draw needs
+it: Eve's when she is present, the noise stream when eta > 0.
 
 Where a session's time goes (raw 2,000, eta > 0, no Eve: about 90 µs on
 a 2-vCPU x86 host).  A third is the four SeedSequence + PCG64 builds the
@@ -38,6 +36,8 @@ import numpy as np
 
 from .bits import NOT_BITS, as_bit_array, pack_bits, sha256_expand_bits
 from .errors import DegenerateSessionError
+# The labels stay qkd names too (qkd.ALICE_BITS .. qkd.BOB): the tests read them.
+from .seeds import ALICE_BASES, ALICE_BITS, BOB, EVE, NOISE, substream
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,6 @@ def privacy_amplify(sifted_bits, final_len: int) -> np.ndarray:
     return sha256_expand_bits(packed, final_len)
 
 
-# Substream labels: child i of the session's SeedSequence.
-ALICE_BITS, ALICE_BASES, EVE, NOISE, BOB = range(5)
-
-
 def substream_draws(seed: int, stream: int, n: int, draws: int, uniforms: int = 0):
     """Substream `stream` of `seed`, read as `uniforms` words then `draws` rows of n bits.
 
@@ -151,13 +147,7 @@ def substream_draws(seed: int, stream: int, n: int, draws: int, uniforms: int = 
     words, whose bit bytes are shifted in place.
     """
     stride = 4 * -(-n // 4)  # bytes in ceil(n / 4) 32-bit words
-    # SeedSequence(seed, spawn_key=(stream,)) mixes the seed's 32-bit words,
-    # low word first and zero-padded to its 4-word pool, then the stream
-    # index.  Handing it those words skips its Python-level coercion of the
-    # seed and the key; the pool, and so every draw, is the same.
-    entropy = seed.to_bytes(4 * max(4, -(-seed.bit_length() // 32)), "little")
-    entropy = np.frombuffer(entropy + stream.to_bytes(4, "little"), "<u4")
-    bitgen = np.random.PCG64(np.random.SeedSequence(entropy))
+    bitgen = substream(seed, stream)
     # The byte view below reads each word low byte first on any host.
     words = bitgen.random_raw(uniforms + -(-stride * draws // 8)).astype("<u8", copy=False)
     row_bytes = words[uniforms:].view(np.uint8)

@@ -110,6 +110,21 @@ class TestRunVerb:
         assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [False, True], ids=["out-is-a-file", "parent-is-a-file"])
+    def test_out_at_or_below_a_file_is_config_error(self, tmp_path, capsys, monkeypatch, below):
+        # Found before any cell runs: no training is wasted on it.
+        def no_cells(cfg):
+            raise AssertionError("the cells ran")
+
+        monkeypatch.setattr("qkdfl.experiments.run_cells", no_cells)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "x" if below else blocker
+        assert main(["run", str(write_cfg(tmp_path)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {out}: ") and "Traceback" not in err
+        assert blocker.read_text() == ""
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -147,6 +162,18 @@ class TestReportVerb:
         main(["run", str(cfg), "--out", str(out)])
         assert main(["report", str(out)]) == 0
         assert (out / "leakage.csv").exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["out-is-a-file", "parent-is-a-file"])
+    def test_report_out_at_or_below_a_file_is_config_error(self, tmp_path, capsys, below):
+        run = tmp_path / "run"
+        shutil.copytree(self.B_FIXTURE, run)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "x" if below else blocker
+        assert main(["report", str(run), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {out}: ") and "Traceback" not in err
+        assert blocker.read_text() == ""
 
     def test_report_on_bad_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
