@@ -26,10 +26,12 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +45,7 @@ from .federated import (
     STATUS_ABORTED,
     STATUS_SECURE,
     RoundConfig,
+    RoundReport,
     partition_non_iid,
     run_training,
     usable_cores,
@@ -88,6 +91,103 @@ CSV_SCHEMAS = {
 }
 
 
+def _read(path: Path, missing: str) -> bytes:
+    """The bytes of file `path`; else a ConfigError: `missing` when there is
+    no such file, the OS's reason when it cannot be read."""
+    try:
+        return path.read_bytes()
+    except (FileNotFoundError, NotADirectoryError):  # a parent may be a file
+        raise ConfigError(missing) from None
+    except OSError as exc:  # a directory, a permission, an I/O error
+        raise ConfigError(f"{path}: cannot be read ({exc.strerror})") from None
+
+
+def _json_object(data: bytes, where: str) -> dict:
+    """`data` as a JSON object; else a ConfigError that names `where`."""
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ConfigError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    return obj
+
+
+# Each JSON scalar kind: its test (a bool is never a number) and its name.
+_SCALARS = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    type(None): (lambda v: v is None, "null"),
+}
+
+
+def _typed(kind, value, name: str, fail):
+    """`value` checked against the annotation `kind`: a scalar or a union of
+    scalars, `tuple[X, ...]`, `tuple[X, X]`, `list[X]`, `dict` or
+    `dict[str, X]`.  A list given for a tuple becomes a tuple; an entry is
+    named `name[i]`, a mapped value `name.key`."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (tuple, list):
+        if not isinstance(value, (list, tuple)):
+            fail(name, "must be a list")
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        if fixed and len(value) != len(args):
+            fail(name, f"must have {len(args)} entries")
+        items = [_typed(args[i] if fixed else args[0], v, f"{name}[{i}]", fail)
+                 for i, v in enumerate(value)]
+        return tuple(items) if origin is tuple else items
+    if dict in (kind, origin):
+        if not isinstance(value, dict):
+            fail(name, "must be an object")
+        if args:  # dict[str, X]: a JSON object's keys are strings
+            for key, v in value.items():
+                _typed(args[1], v, f"{name}.{key}", fail)
+        return value
+    arms = args or (kind,)  # a union's arms, or the one scalar kind
+    arm = next((a for a in arms if _SCALARS[a][0](value)), None)
+    if arm is None:
+        fail(name, "must be " + " or ".join(_SCALARS[a][1] for a in arms))
+    if arm is float:
+        try:
+            float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            fail(name, "must fit in a float")
+    return value
+
+
+@functools.cache
+def _field_kinds(cls) -> dict:
+    """Each field of the dataclass `cls` and its annotation, evaluated once:
+    `typing.get_type_hints` compiles every annotation string anew."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _typed_record(cls, raw, where: str, fmt: str, **extra) -> dict:
+    """`raw` as keyword arguments for the dataclass `cls`, checked against
+    its annotations: a JSON object whose keys are fields of `cls` or the
+    `extra` keys (each given with its kind, each required), with every field
+    that has no default present and every value of its kind.  A failure is
+    a ConfigError worded by `fmt` from `where`, the field and the message."""
+    def fail(field: str, msg: str):
+        raise ConfigError(fmt.format(where=where, field=field, msg=msg))
+
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    kinds = _field_kinds(cls) | extra
+    for key in raw:
+        if key not in kinds:
+            fail(key, "unknown field")
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    for key in [*required, *extra]:
+        if key not in raw:
+            fail(key, "required field missing")
+    return {key: _typed(kinds[key], value, key, fail) for key, value in raw.items()}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved description of one run; every field is echoed to disk."""
@@ -121,74 +221,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, source: str = "config") -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{source}: expected a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"{source}.{key}: unknown field")
-        for required in ("experiment", "task", "seed"):
-            if required not in raw:
-                raise ConfigError(f"{source}.{required}: required field missing")
-
-        merged = dict(raw)
-        tuple_fields = {f.name for f in dataclasses.fields(cls) if f.type.startswith("tuple")}
-        for key in tuple_fields & set(merged):
-            if not isinstance(merged[key], (list, tuple)):
-                raise ConfigError(f"{source}.{key}: expected a list")
-            merged[key] = tuple(merged[key])
-
-        cfg = cls(**merged)
+        cfg = cls(**_typed_record(cls, raw, source, "{where}.{field}: {msg}"))
         cfg._validate(source)
         return cfg
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"{path}: no such config file") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        raw = _json_object(_read(path, f"{path}: no such config file"), str(path))
         return cls.from_dict(raw, source=str(path))
 
     def _validate(self, source: str) -> None:
+        """Ranges and policy; `_typed_record` has checked every type."""
         def check(cond: bool, field: str, msg: str) -> None:
             if not cond:
                 raise ConfigError(f"{source}.{field}: {msg}")
 
-        def is_int(v) -> bool:
-            return isinstance(v, int) and not isinstance(v, bool)
-
-        def is_number(v) -> bool:
-            return isinstance(v, (int, float)) and not isinstance(v, bool)
-
         check(self.experiment in EXPERIMENTS, "experiment", f"must be one of {EXPERIMENTS}")
         check(self.task in TASKS, "task", f"must be one of {TASKS}")
-        type_checks = {
-            "int": (is_int, "must be an integer"),
-            "float": (is_number, "must be a number"),
-            "bool": (lambda v: isinstance(v, bool), "must be true or false"),
-            "str | None": (lambda v: v is None or isinstance(v, str), "must be a string"),
-        }
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type in type_checks:
-                is_type, msg = type_checks[f.type]
-                check(is_type(value), f.name, msg)
-            if f.type == "float":
-                try:
-                    value = float(value)
-                except OverflowError:  # a JSON integer beyond the float range
-                    raise ConfigError(f"{source}.{f.name}: must fit in a float") from None
-                if not math.isfinite(value):
-                    check(value == math.inf and f.name in self._MAY_BE_INFINITE, f.name,
-                          "must be finite")
+            if f.type == "float" and not math.isfinite(value):
+                check(value == math.inf and f.name in self._MAY_BE_INFINITE, f.name,
+                      "must be finite")
         check(self.seed >= 0, "seed", "must be >= 0")
         check(len(self.clients) > 0, "clients", "must be nonempty")
         for i, k in enumerate(self.clients):
-            check(is_int(k) and k >= 2, f"clients[{i}]", "must be an integer >= 2")
+            check(k >= 2, f"clients[{i}]", "must be an integer >= 2")
         check(self.rounds >= 1, "rounds", "must be >= 1")
         check(len(self.modes) > 0, "modes", "must be nonempty")
         for i, m in enumerate(self.modes):
@@ -210,22 +269,16 @@ class ExperimentConfig:
         check(self.val_samples >= 1, "val_samples", "must be >= 1")
         check(len(self.noise_grid) > 0, "noise_grid", "must be nonempty")
         for i, eta in enumerate(self.noise_grid):
-            check(is_number(eta) and 0.0 <= eta <= 1.0, f"noise_grid[{i}]",
-                  "must be a number in [0, 1]")
+            check(0.0 <= eta <= 1.0, f"noise_grid[{i}]", "must be a number in [0, 1]")
         check(self.sessions_per_point >= 1, "sessions_per_point", "must be >= 1")
         check(self.partition_skew > 0, "partition_skew", "must be positive")
         check(self.radar_size >= 16, "radar_size", "must be >= 16")
         check(self.radar_size % 8 == 0, "radar_size", "must be divisible by 8")
-        check(len(self.channel_dims) == 2, "channel_dims", "must have 2 entries")
         for i, v in enumerate(self.channel_dims):
-            check(is_int(v) and v >= 1, f"channel_dims[{i}]", "must be a positive integer")
+            check(v >= 1, f"channel_dims[{i}]", "must be a positive integer")
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key, val in out.items():
-            if isinstance(val, tuple):
-                out[key] = list(val)
-        return out
+        return dataclasses.asdict(self)  # JSON writes a tuple as a list
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -500,83 +553,52 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     return manifest
 
 
-# The fields of a rounds.jsonl line that the leakage report reads.
-_ROUND_KEYS = (
-    "status", "round", "qber", "utility", "leakage_mean_cosine", "leakage_mean_pearson"
-)
-
-
-def _json_object(data: bytes, where: str, required: tuple[str, ...]) -> dict:
-    """`data` as a JSON object holding the `required` keys; else a ConfigError
-    that names `where`."""
-    try:
-        obj = json.loads(data)
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise ConfigError(f"{where}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise ConfigError(f"{where}: missing {', '.join(missing)}")
-    return obj
-
-
 def report_leakage(run_dir, out_dir=None) -> list[dict]:
     """Per-round leakage table from a finished run's JSON-lines reports.
 
     Rows cover SECURE rounds only; emits a header-only CSV with a warning
     when the run has none.  The rounds are read only when the manifest lists
-    `rounds.jsonl`.  A damaged manifest or round line is a ConfigError that
-    names its file.
+    `rounds.jsonl`, and every line must be a `RoundReport` plus its `cell`
+    and the manifest's `config_hash`.  A file that cannot be read, a
+    damaged manifest or a damaged round line is a ConfigError that names
+    its file, and the line for a round.
     """
     run = Path(run_dir)
     out = _check_out_dir(out_dir) if out_dir else run
     manifest_path = run / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"{run}: not a run directory (missing manifest.json)")
     manifest = _json_object(
-        manifest_path.read_bytes(), str(manifest_path), ("config_hash", "files")
+        _read(manifest_path, f"{run}: not a run directory (missing manifest.json)"),
+        str(manifest_path),
     )
-    if not isinstance(manifest["files"], list):
+    if not isinstance(manifest.get("files"), list):
         raise ConfigError(f"{manifest_path}: files must be a JSON list")
-    if not isinstance(manifest["config_hash"], str):
+    if not isinstance(manifest.get("config_hash"), str):
         raise ConfigError(f"{manifest_path}: config_hash must be a JSON string")
     # Only a rounds file this run wrote, which its manifest lists.
     rounds_path = run / "rounds.jsonl"
     lines = []
     if "rounds.jsonl" in manifest["files"]:
-        try:
-            lines = rounds_path.read_bytes().splitlines()
-        except FileNotFoundError:
-            raise ConfigError(f"{rounds_path}: listed in the manifest but missing") from None
+        missing = f"{rounds_path}: listed in the manifest but missing"
+        lines = _read(rounds_path, missing).splitlines()
 
     rows = []
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         where = f"{rounds_path}:{lineno}"
-        d = _json_object(line, where, _ROUND_KEYS)
+        d = _typed_record(
+            RoundReport, _json_object(line, where), where, "{where}: {field} {msg}",
+            cell=dict[str, str | int | float | bool | None], config_hash=str,
+        )
+        if d["config_hash"] != manifest["config_hash"]:
+            raise ConfigError(f"{where}: config_hash {d['config_hash']} is not the "
+                              f"manifest's {manifest['config_hash']}")
         if d["status"] != STATUS_SECURE:
             continue
-        cell = d.get("cell", {})
-        if not (isinstance(d["utility"], dict) and isinstance(cell, dict)):
-            raise ConfigError(f"{where}: utility and cell must be JSON objects")
-        # Each value the row writes must have its JSON type (exact: no bools).
-        if type(d["round"]) is not int:
-            raise ConfigError(f"{where}: round must be an integer")
-        for key in sorted(cell):
-            if cell[key] is not None and type(cell[key]) not in (str, int, float, bool):
-                raise ConfigError(f"{where}: cell.{key} must be a string, number, bool or null")
-        numbers = {key: d[key] for key in ("qber", "leakage_mean_cosine", "leakage_mean_pearson")}
-        numbers.update((f"utility.{m}", d["utility"].get(m)) for m in ("nmse", "accuracy", "miou"))
-        for key, value in numbers.items():
-            if value is not None and type(value) not in (int, float):
-                raise ConfigError(f"{where}: {key} must be a number or null")
         rows.append({
             **d["utility"], **d,
             "schema_version": SCHEMA_VERSION,
-            "config_hash": manifest["config_hash"],
-            "cell": ",".join(f"{k}={cell[k]}" for k in sorted(cell)),
+            "cell": ",".join(f"{k}={v}" for k, v in sorted(d["cell"].items())),
             "mean_cosine": d["leakage_mean_cosine"],
             "mean_pearson": d["leakage_mean_pearson"],
         })

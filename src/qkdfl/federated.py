@@ -124,7 +124,7 @@ class RoundReport:
     qber: float | None
     sifted_len: int | None
     final_len: int | None
-    utility: dict
+    utility: dict[str, float | None]
     recon_error: float | None
     leakage_per_client: list[dict]
     leakage_mean_cosine: float | None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -10,6 +11,7 @@ import pytest
 
 import qkdfl
 from qkdfl.cli import main
+from qkdfl.federated import RoundReport
 from qkdfl.params import ParamVec
 
 BASE = {
@@ -265,6 +267,67 @@ class TestReportVerb:
         where = f"{name}:{line}: cell.{key} " if line else f"{name}: {key} "
         assert err.startswith("config error: ") and where in err and "Traceback" not in err
         assert not (run / "leakage.csv").exists()
+
+    ROUND_FIELDS = [f.name for f in dataclasses.fields(RoundReport)] + ["cell", "config_hash"]
+
+    @pytest.mark.parametrize("line", [2, 3], ids=["secure", "aborted"])
+    @pytest.mark.parametrize(
+        "damage,field",
+        [("wrong-type", f) for f in ROUND_FIELDS] + [("missing", f) for f in ROUND_FIELDS]
+        + [("unknown", "qber_estimate")],
+    )
+    def test_report_checks_every_round_field(self, tmp_path, capsys, damage, field, line):
+        # Line 2 of the B fixture is a SECURE round, line 3 an ABORTED one.
+        run = tmp_path / "run"
+        shutil.copytree(self.B_FIXTURE, run)
+        (run / "leakage.csv").unlink()
+        rounds = run / "rounds.jsonl"
+        records = [json.loads(text) for text in rounds.read_text().splitlines()]
+        record = records[line - 1]
+        if damage == "missing":
+            del record[field]
+        elif damage == "unknown":
+            record[field] = 0.5
+        else:  # a JSON type that no value of the field has
+            record[field] = {} if isinstance(record[field], list) else []
+        rounds.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert main(["report", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"rounds.jsonl:{line}: {field} " in err and "Traceback" not in err
+        assert not (run / "leakage.csv").exists()
+
+    def test_report_rejects_another_runs_rounds(self, tmp_path, capsys):
+        # A's rounds.jsonl beside B's manifest: every line carries A's hash.
+        run = tmp_path / "run"
+        shutil.copytree(self.B_FIXTURE, run)
+        (run / "leakage.csv").unlink()
+        shutil.copy(self.B_FIXTURE.parent / "exp_a_channel" / "rounds.jsonl", run)
+        capsys.readouterr()
+        assert main(["report", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {run / 'rounds.jsonl'}:1: config_hash ")
+        assert "991ac81624a163b4" in err and "Traceback" not in err
+        assert not (run / "leakage.csv").exists()
+
+    @pytest.mark.parametrize("name", ["config", "manifest.json", "rounds.jsonl"])
+    def test_unreadable_input_is_config_error(self, tmp_path, capsys, name):
+        # A directory where a config, a manifest or a rounds file should be.
+        if name == "config":
+            path = tmp_path / "cfg.json"
+            argv = ["validate", str(path)]
+        else:
+            run = tmp_path / "run"
+            shutil.copytree(self.B_FIXTURE, run)
+            path = run / name
+            path.unlink()
+            argv = ["report", str(run)]
+        path.mkdir()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_report_writes_json_scalars_in_a_cell(self, tmp_path):
         run = self.damage_b_copy(tmp_path, "rounds.jsonl", "arm", None, line=2)

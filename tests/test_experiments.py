@@ -1,18 +1,23 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdfl.errors import ConfigError
 from qkdfl.experiments import (
     CSV_SCHEMAS,
+    EXPERIMENTS,
+    TASKS,
     ExperimentConfig,
     report_leakage,
     run_cells,
     run_experiment,
     write_csv,
 )
-from qkdfl.federated import usable_cores
+from qkdfl.federated import MODES, usable_cores
 
 BASE_A = {
     "experiment": "A",
@@ -34,7 +39,48 @@ def make_cfg(**overrides):
     return ExperimentConfig.from_dict(raw)
 
 
+# Valid configs: every optional field left out or drawn from its valid range.
+# Clients stay at most 64, so any train_samples drawn covers them and any
+# mask_scale drawn keeps K·(K − 1)·mask_scale finite.
+valid_configs = st.fixed_dictionaries(
+    {
+        "experiment": st.sampled_from(EXPERIMENTS),
+        "task": st.sampled_from(TASKS),
+        "seed": st.integers(0, 2**64),
+    },
+    optional={
+        "out_dir": st.none() | st.text(),
+        "clients": st.lists(st.integers(2, 64), min_size=1, max_size=4),
+        "rounds": st.integers(1, 10**6),
+        "modes": st.lists(st.sampled_from(MODES), min_size=1, max_size=3),
+        "eve": st.booleans(),
+        "epochs": st.integers(0, 100),
+        "batch_size": st.integers(1, 1024),
+        "learning_rate": st.floats(0, 1e300, exclude_min=True) | st.integers(1, 10**300),
+        "qber_threshold": st.floats(0, 1, exclude_min=True, exclude_max=True),
+        "mask_scale": st.floats(0, 1e300) | st.integers(0, 10**6),
+        "raw_key_len": st.integers(64, 10**6),
+        "pa_ratio": st.floats(0, 1, exclude_min=True),
+        "train_samples": st.integers(64, 10**6),
+        "val_samples": st.integers(1, 10**6),
+        "snr_db": st.floats(allow_nan=False, allow_infinity=False) | st.just(math.inf),
+        "channel_dims": st.lists(st.integers(1, 1024), min_size=2, max_size=2),
+        "radar_size": st.integers(2, 64).map(lambda n: 8 * n),
+        "partition_skew": st.floats(0, exclude_min=True),
+        "noise_grid": st.lists(st.floats(0, 1), min_size=1, max_size=5),
+        "sessions_per_point": st.integers(1, 10**6),
+    },
+).map(ExperimentConfig.from_dict)
+
+
 class TestConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=valid_configs)
+    def test_json_round_trip(self, cfg):
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert again == cfg
+        assert again.config_hash() == cfg.config_hash()
+
     def test_missing_required_field(self):
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig.from_dict({"experiment": "A", "task": "channel"})

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from qkdfl.experiments import _typed_record
 from qkdfl.federated import RoundReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,6 +113,13 @@ def test_round_report_fields_are_the_round_keys():
     for name in FEDERATED_RUNS:
         for line in (GOLDEN / "runs" / name / "rounds.jsonl").read_text().splitlines():
             assert sorted(json.loads(line)) == sorted([*fields, "cell", "config_hash"])
+            # The report's checker reads the line, and rounds.jsonl's own
+            # format writes back the same bytes.
+            record = _typed_record(
+                RoundReport, json.loads(line), name, "{where}: {field} {msg}",
+                cell=dict[str, str | int | float | bool | None], config_hash=str,
+            )
+            assert json.dumps(record, sort_keys=True, separators=(",", ": ")) == line
 
 
 def _typed(column: str, text: str):
