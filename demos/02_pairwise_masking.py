@@ -14,13 +14,16 @@ from qkdfl import (
     derive_pair_key,
     leakage_proxies,
 )
+from qkdfl.bits import pack_bits
+from qkdfl.errors import ProtocolError
 
 rng = np.random.default_rng(0)
 K = 3
 
 # The round seed would normally come from a BB84 session; any >=256-bit
 # secret works. The key authority derives one symmetric key per client pair
-# from it; the context keeps the key table, not the seed.
+# from it; the context keeps the key table, packed to 32 bytes a key, and
+# the round's cohort, not the seed.
 round_seed = rng.integers(0, 2, 256, dtype=np.uint8)
 ctx = MaskingContext(round_seed=round_seed, round_index=0, num_clients=K)
 
@@ -30,7 +33,7 @@ print(f"pair key (0,1) == (1,0): {(k01 == k10).all()}")
 # Client i masks with only row i of the table: its K - 1 keys, None at i.
 row0 = ctx.keys[0]
 print(f"client 0's row: {['-' if key is None else 'key' for key in row0]}, "
-      f"row 0 entry 1 is the (0,1) key: {(row0[1] == k01).all()}")
+      f"row 0 entry 1 is the (0,1) key: {row0[1] == pack_bits(k01)}")
 
 # Three clients hold small "model updates"; realistic local-training deltas
 # have magnitudes comparable to the mask scale gamma.
@@ -58,8 +61,16 @@ masked_mean = aggregate(masked)
 print(f"\n|masked mean - plain mean|_inf = "
       f"{pvops.max_abs_diff(masked_mean, plain_mean):.2e}  (pure float residue)")
 
+# Every upload carries its context's cohort. An upload masked under another
+# context of the same round and K holds masks that do not cancel here, so the
+# server refuses the batch instead of returning a wrong mean.
+other = MaskingContext(round_seed=1 - round_seed, round_index=0, num_clients=K)
+try:
+    aggregate(masked[:2] + [apply_pairwise_masks(updates[2], 2, other)])
+except ProtocolError as exc:
+    print(f"mixed contexts refused: {exc}")
+
 # Rotating the round index rederives every pair key, so masks never repeat
 # across rounds.
 ctx_next = MaskingContext(round_seed=round_seed, round_index=1, num_clients=K)
-print(f"round 0 vs round 1 pair key differs: "
-      f"{(ctx.keys[0][1] != ctx_next.keys[0][1]).any()}")
+print(f"round 0 vs round 1 pair key differs: {ctx.keys[0][1] != ctx_next.keys[0][1]}")

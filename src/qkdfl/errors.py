@@ -18,7 +18,7 @@ class AggregationShapeError(QkdflError):
 
 
 class ProtocolError(QkdflError):
-    """Masked updates mix rounds, repeat a client or miss part of the cohort."""
+    """Masked updates mix masking contexts, repeat a client or miss part of the cohort."""
 
 
 class UndefinedProxyError(QkdflError):

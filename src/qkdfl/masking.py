@@ -1,11 +1,12 @@
 """Pairwise additive masking seeded from a per-round key.
 
-A MaskingContext derives one symmetric KEY_BITS-bit key per client pair
-(i, j) from the round seed, once, and keeps no reference to the seed.
-Client i masks with row i of that table, its own K - 1 keys: it adds the
-pair mask when i < j and subtracts it when i > j.  The masks cancel exactly
-in the sum of all K uploads, the server only learns the aggregate, and a
-colluding client holds just one of each other client's K - 1 keys.
+A MaskingContext states one round's Cohort and derives one symmetric
+KEY_BITS-bit key per client pair (i, j) from the round seed, once; it keeps
+no reference to the seed.  Client i masks with row i of that table, its own
+K - 1 keys: it adds the pair mask when i < j and subtracts it when i > j.
+The masks cancel exactly in the sum of one context's K uploads, the server
+only learns the aggregate, and a colluding client holds just one of each
+other client's K - 1 keys.
 
 Key schedule (test-vector contracts, see tests/golden):
 
@@ -78,10 +79,18 @@ KEY_BITS = 256
 DEFAULT_MASK_SCALE = 1e-3
 
 
-class MaskingContext:
-    """One round's pair keys, derived once; the context keeps no round seed.
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """Round and K of one MaskingContext; equal only to itself (see aggregate)."""
 
-    `keys[i]` is client i's row of pair keys, None at index i, and
+    round_index: int
+    num_clients: int
+
+
+class MaskingContext:
+    """One round's cohort and pair keys, derived once; it keeps no round seed.
+
+    `keys[i]` is client i's row of packed pair keys, None at index i, and
     `keys[i][j] is keys[j][i]`.  `streams` is the round's parked-stream
     cache: (lo, hi, tensor sizes) -> the pair's packed keystream.
     """
@@ -101,23 +110,21 @@ class MaskingContext:
         # gamma = 0 is allowed as a degenerate diagnostic mode (masks vanish).
         if not (math.isfinite(mask_scale) and mask_scale >= 0):
             raise ValueError("mask_scale must be finite and non-negative")
-        self.round_index = round_index
-        self.num_clients = num_clients
+        self.cohort = Cohort(round_index, num_clients)
         self.mask_scale = mask_scale
         self.keys = [[None] * num_clients for _ in range(num_clients)]
         for i, j in itertools.combinations(range(num_clients), 2):
-            self.keys[i][j] = self.keys[j][i] = derive_pair_key(seed, round_index, i, j)
+            self.keys[i][j] = self.keys[j][i] = pack_bits(derive_pair_key(seed, round_index, i, j))
         self.streams = {}
 
 
 @dataclass
 class MaskedUpdate:
-    """One client's masked parameters, tagged with its coordinates."""
+    """One client's masked parameters, tagged with its context's cohort."""
 
     client_index: int
-    round_index: int
+    cohort: Cohort
     params: ParamVec
-    num_clients: int
 
 
 def derive_pair_key(round_seed, round_index: int, i: int, j: int) -> np.ndarray:
@@ -136,16 +143,15 @@ def signs_from_bits(stream_bits: np.ndarray, gamma: float) -> np.ndarray:
     return values.reshape(bits.shape)
 
 
-def mask_keystream(key_bits: np.ndarray, tensor_ordinal: int, num_bits: int) -> np.ndarray:
-    """Per-tensor keystream expansion of a pair key (golden-file contract)."""
-    prefix = pack_bits(key_bits) + le64(tensor_ordinal)
-    return sha256_expand_bits(prefix, num_bits)
+def mask_keystream(key: bytes, tensor_ordinal: int, num_bits: int) -> np.ndarray:
+    """Per-tensor keystream expansion of a packed pair key (golden-file contract)."""
+    return sha256_expand_bits(key + le64(tensor_ordinal), num_bits)
 
 
 def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> ParamVec:
     """Signed sum of all pair masks for one client, laid out like `pv`.
 
-    `row` is the client's row of pair keys, None at its own index i.
+    `row` is the client's row of packed pair keys, None at its own index i.
     Client i adds m_ij for j > i and subtracts it for j < i; the tensor
     ordinal is the entry's position in canonical order.  Each element is
     (2c - (K - 1)) * gamma, where c counts its +gamma terms.  Each peer's
@@ -156,7 +162,7 @@ def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> Param
     if 0 in sizes:
         raise ValueError("cannot mask a tensor with no elements")
     k, n = len(row), pv.total_len
-    client_index = [key is None for key in row].index(True)
+    client_index = row.index(None)
     bounds = list(itertools.accumulate(sizes, initial=0))
     # Every peer below starts as a +gamma term and loses it where its bit is 1.
     # The count is unsigned as wide as the smallest signed type that holds
@@ -195,9 +201,9 @@ def apply_pairwise_masks(
     pv: ParamVec, client_index: int, ctx: MaskingContext
 ) -> MaskedUpdate:
     """Mask one client's parameters for upload, with its row of pair keys."""
-    if not 0 <= client_index < ctx.num_clients:
+    if not 0 <= client_index < ctx.cohort.num_clients:
         raise InvalidPairError(
-            f"client index {client_index} out of range for K = {ctx.num_clients}"
+            f"client index {client_index} out of range for K = {ctx.cohort.num_clients}"
         )
     if not pv.all_finite():
         raise ValueError("parameters must be finite before masking")
@@ -205,40 +211,31 @@ def apply_pairwise_masks(
     # A large enough gamma overflows to +/-inf here; aggregate rejects the mean.
     with np.errstate(over="ignore"):
         masked = pvops.add(pv, pair_mask_sum(pv, row, ctx.mask_scale, ctx.streams))
-    return MaskedUpdate(
-        client_index=client_index,
-        round_index=ctx.round_index,
-        params=masked,
-        num_clients=ctx.num_clients,
-    )
+    return MaskedUpdate(client_index, ctx.cohort, masked)
 
 
 def aggregate(masked: list[MaskedUpdate]) -> ParamVec:
     """Element-wise mean of one round's full cohort of masked uploads.
 
-    Pair masks cancel only in the sum of all K uploads, and there is no
-    dropout recovery, so a batch that is not exactly clients 0..K-1 of one
-    K is a ProtocolError rather than a silently wrong mean.  A mean that
-    is not finite (gamma so large that a mask or the running sum overflows)
-    is a DivergenceError.
+    Pair masks cancel only in the sum of all K uploads of one context, and
+    there is no dropout recovery, so a batch from more than one context, or
+    not exactly its clients 0..K-1, is a ProtocolError rather than a
+    silently wrong mean.  A mean that is not finite (gamma so large that a
+    mask or the running sum overflows) is a DivergenceError.
     """
     if len(masked) < 2:
         raise AggregationShapeError("aggregation needs at least two masked updates")
-    rounds = {m.round_index for m in masked}
-    if len(rounds) != 1:
-        raise ProtocolError(f"masked updates span multiple rounds: {sorted(rounds)}")
-    clients = [m.client_index for m in masked]
-    if len(set(clients)) != len(clients):
-        raise ProtocolError("duplicate client index in aggregation batch")
-    cohort_sizes = {m.num_clients for m in masked}
-    if len(cohort_sizes) != 1:
+    cohort = masked[0].cohort
+    if any(m.cohort is not cohort for m in masked):
+        found = [(m.cohort.round_index, m.cohort.num_clients) for m in masked]
         raise ProtocolError(
-            f"masked updates disagree on the cohort size: K in {sorted(cohort_sizes)}"
+            f"uploads from {len({m.cohort for m in masked})} masking contexts: (round, K) {found}"
         )
-    (k,) = cohort_sizes
-    if sorted(clients) != list(range(k)):
+    k = cohort.num_clients
+    clients = sorted(m.client_index for m in masked)
+    if clients != list(range(k)):
         raise ProtocolError(
-            f"aggregation needs clients 0..{k - 1} of K = {k}, got {sorted(clients)}: "
+            f"aggregation needs clients 0..{k - 1} of K = {k}, got {clients}: "
             "the unmatched pair masks would stay in the mean"
         )
     first = masked[0].params

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import qkdfl.params as pvops
+from qkdfl.bits import pack_bits
 from qkdfl.datasets import gen_channel_dataset
 from qkdfl.experiments import (
     ExperimentConfig,
@@ -308,7 +309,7 @@ def test_criterion_10_kdf_golden_vectors():
         assert (key == _bits(vec["key_bits"])).all()
     for vec in GOLDEN["mask_keystream"]:
         stream = mask_keystream(
-            _bits(vec["pair_key_bits"]), vec["tensor_ordinal"], vec["num_bits"]
+            pack_bits(_bits(vec["pair_key_bits"])), vec["tensor_ordinal"], vec["num_bits"]
         )
         assert (stream == _bits(vec["stream_bits"])).all()
     n_vecs = sum(len(v) for v in GOLDEN.values())

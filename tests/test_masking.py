@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import qkdfl.bits as bits
 import qkdfl.masking as masking
 import qkdfl.params as pvops
-from qkdfl.bits import sha256_expand_bytes
+from qkdfl.bits import pack_bits, sha256_expand_bytes
 from qkdfl.errors import (
     AggregationShapeError,
     DivergenceError,
@@ -22,7 +22,6 @@ from qkdfl.errors import (
     UndefinedProxyError,
 )
 from qkdfl.masking import (
-    MaskedUpdate,
     MaskingContext,
     aggregate,
     apply_pairwise_masks,
@@ -114,7 +113,7 @@ class TestDerivePairKey:
             for j, key in enumerate(row):
                 if j != i:
                     assert key is ctx.keys[j][i]
-                    assert (key == derive_pair_key(bits, round_index, i, j)).all()
+                    assert key == pack_bits(derive_pair_key(bits, round_index, i, j))
 
 
 class TestBitsToMask:
@@ -137,7 +136,7 @@ class TestBitsToMask:
 
     def test_deterministic(self):
         key = make_ctx().keys[1][2]
-        assert (mask_keystream(key, 0, 7) == mask_keystream(key.copy(), 0, 7)).all()
+        assert (mask_keystream(key, 0, 7) == mask_keystream(bytes(bytearray(key)), 0, 7)).all()
 
     def test_ordinal_varies_stream(self):
         key = make_ctx().keys[1][2]
@@ -161,18 +160,13 @@ class TestBitsToMask:
         assert (m == 0.0).all()
         assert list(np.signbit(m)) == [True, False]
 
-    @pytest.mark.parametrize("key", [[0.5, 1.7, 1.0], [256, 257], [0, 2], [-1, 1], [np.nan]])
-    def test_rejects_non_bit_keys(self, key):
-        # A uint8 cast would turn [0.5, 1.7, 1.0] into [0, 1, 1] and wrap
-        # [256, 257] to [0, 1], giving a mask from the wrong key.
-        with pytest.raises(ValueError):
-            mask_keystream(np.array(key), tensor_ordinal=0, num_bits=4)
-
-    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
-    def test_accepts_bit_keys_of_any_dtype(self, dtype):
-        key = make_ctx().keys[0][1]
-        want = mask_keystream(key, 3, 9)
-        assert (mask_keystream(key.astype(dtype), 3, 9) == want).all()
+    @pytest.mark.parametrize("form", ["bit array", "bool array", "bit list"])
+    def test_non_bytes_key_is_a_type_error(self, form):
+        # A key is its 32 packed bytes; a bit array is never read as other bytes.
+        bits = derive_pair_key(seed_bits(), 0, 0, 1)
+        key = {"bit array": bits, "bool array": bits.astype(bool), "bit list": bits.tolist()}
+        with pytest.raises(TypeError):
+            mask_keystream(key[form], tensor_ordinal=0, num_bits=4)
 
 
 GAMMAS = (0.0, -0.0, 5e-324, 3.7e-5, 1e-3, 1e308)
@@ -284,7 +278,7 @@ class TestGoldenVectors:
     def test_mask_keystream_vectors(self):
         for vec in GOLDEN["mask_keystream"]:
             stream = mask_keystream(
-                bits_from_str(vec["pair_key_bits"]),
+                pack_bits(bits_from_str(vec["pair_key_bits"])),
                 vec["tensor_ordinal"],
                 vec["num_bits"],
             )
@@ -354,7 +348,7 @@ def reference_pair_mask_sum(pv, client_index, ctx):
     out = []
     for ordinal, (name, arr) in enumerate(pv.entries):
         total = np.zeros_like(arr)
-        for j in range(ctx.num_clients):
+        for j in range(ctx.cohort.num_clients):
             if j == client_index:
                 continue
             key = ctx.keys[client_index][j]
@@ -386,7 +380,7 @@ def count_pair_mask_sum(pv, client_index, ctx):
     out = []
     for ordinal, (name, arr) in enumerate(pv.entries):
         signed = np.zeros(arr.size, dtype=np.int64)
-        for j in range(ctx.num_clients):
+        for j in range(ctx.cohort.num_clients):
             if j == client_index:
                 continue
             key = ctx.keys[client_index][j]
@@ -400,7 +394,7 @@ def count_pair_mask_sum(pv, client_index, ctx):
 def assert_matches_oracles(pv, client_index, ctx):
     """Bytewise against the count oracle; against the running sum, bytewise at
     K <= 3 (every partial sum is exact) and within K^2 * gamma * 2^-53 above."""
-    k, gamma = ctx.num_clients, ctx.mask_scale
+    k, gamma = ctx.cohort.num_clients, ctx.mask_scale
     got = mask_sum(pv, client_index, ctx)
     want = count_pair_mask_sum(pv, client_index, ctx)
     assert got.names() == want.names()
@@ -545,10 +539,12 @@ class TestAggregate:
             aggregate([a, b])
 
     def test_duplicate_clients_rejected(self):
+        # Client 0 twice: once in place of client 1, once on top of the cohort.
         pv = ParamVec([("a", np.zeros(3))])
-        a = apply_pairwise_masks(pv, 0, make_ctx())
-        with pytest.raises(ProtocolError):
-            aggregate([a, MaskedUpdate(0, 0, pv.copy(), num_clients=4)])
+        ctx = make_ctx(num_clients=3)
+        for clients in ([0, 0, 2], [0, 1, 2, 0]):
+            with pytest.raises(ProtocolError, match="clients 0..2 of K = 3"):
+                aggregate([apply_pairwise_masks(pv, c, ctx) for c in clients])
 
     def test_missing_client_rejected(self):
         # Without client 2's upload, m_02 and m_12 stay in the mean.
@@ -558,6 +554,50 @@ class TestAggregate:
         for dropped in range(3):
             with pytest.raises(ProtocolError):
                 aggregate(batch[:dropped] + batch[dropped + 1:])
+
+    def test_two_contexts_of_one_round_rejected(self):
+        # Same round and K, other pair keys: the masks would not cancel, and the
+        # mean would be off by about gamma.
+        rng = np.random.default_rng(13)
+        pvs = [random_pv(rng) for _ in range(3)]
+        first, second = make_ctx(num_clients=3, seed=1), make_ctx(num_clients=3, seed=2)
+        batch = [apply_pairwise_masks(pvs[c], c, second if c == 2 else first) for c in range(3)]
+        want = r"2 masking contexts: \(round, K\) \[\(0, 3\), \(0, 3\), \(0, 3\)\]"
+        with pytest.raises(ProtocolError, match=want):
+            aggregate(batch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 2),
+        round_index=st.integers(0, 1000),
+    )
+    def test_only_a_full_cohort_of_one_context_aggregates(self, data, k, seed, round_index):
+        rng = np.random.default_rng(seed)
+        pvs = [random_pv(rng) for _ in range(k)]
+        ctx = make_ctx(num_clients=k, round_index=round_index, seed=seed)
+        batch = self.masked_batch(pvs, ctx)
+        want = aggregate(batch).buf.tobytes()
+        kind = data.draw(st.sampled_from(
+            ["permuted", "duplicate", "foreign"] + (["subset"] if k > 2 else [])
+        ))
+        if kind == "subset":
+            batch = data.draw(st.lists(
+                st.sampled_from(batch), min_size=2, max_size=k - 1, unique_by=id
+            ))
+        elif kind == "duplicate":
+            batch = batch + [batch[data.draw(st.integers(0, k - 1))]]
+        elif kind == "foreign":
+            other = make_ctx(num_clients=k, round_index=round_index, seed=seed + 1)
+            c = data.draw(st.integers(0, k - 1))
+            batch[c] = apply_pairwise_masks(pvs[c], c, other)
+        batch = data.draw(st.permutations(batch))
+        if kind == "permuted":
+            assert aggregate(batch).buf.tobytes() == want
+        else:
+            with pytest.raises(ProtocolError):
+                aggregate(batch)
 
     def test_mixed_cohort_sizes_rejected(self):
         pv = ParamVec([("a", np.zeros(3))])
@@ -792,8 +832,8 @@ class TestMaskingContext:
         ref = MaskingContext(round_seed=bits.astype(np.uint8), round_index=0, num_clients=2)
         for dtype in (bool, np.int64, np.float64):
             ctx = MaskingContext(round_seed=bits.astype(dtype), round_index=0, num_clients=2)
-            assert ctx.keys[0][1].dtype == np.uint8
-            assert (ctx.keys[0][1] == ref.keys[0][1]).all()
+            assert type(ctx.keys[0][1]) is bytes
+            assert ctx.keys[0][1] == ref.keys[0][1]
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_non_finite_gamma_rejected(self, gamma):
@@ -820,7 +860,7 @@ class TestMaskingContext:
         ctx0 = make_ctx(num_clients=k, round_index=0, seed=11)
         ctx1 = make_ctx(num_clients=k, round_index=1, seed=11)
         for i, j in itertools.combinations(range(k), 2):
-            assert (ctx0.keys[i][j] != ctx1.keys[i][j]).any()
+            assert ctx0.keys[i][j] != ctx1.keys[i][j]
 
     def test_keeps_no_round_seed(self):
         seed = seed_bits(13)

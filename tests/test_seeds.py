@@ -1,6 +1,6 @@
 """The seed tree of `qkdfl.seeds`: the substream builder, the names other
-modules keep, and a walk of every seed path the shipped configs touch.
-`derive_seed` itself is tested in test_federated.py."""
+modules keep, a walk of every seed path the shipped configs touch, and
+`derive_seed` itself."""
 
 import functools
 import hashlib
@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkdfl import experiments, federated, qkd, seeds
 from qkdfl.seeds import derive_seed, substream
@@ -124,3 +126,73 @@ def test_names_the_benchmark_and_tests_read():
     assert experiments._TAG_PARTITION == seeds.PARTITION
     assert experiments._TAG_SWEEP == seeds.SWEEP
     assert (qkd.ALICE_BITS, qkd.ALICE_BASES, qkd.EVE, qkd.NOISE, qkd.BOB) == STREAMS
+
+
+class TestSeedDerivation:
+    def test_stable(self):
+        assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
+
+    def test_path_sensitive(self):
+        assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
+        assert derive_seed(5, 1) != derive_seed(6, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        master=st.integers(0, 2**64 - 1),
+        path=st.lists(st.integers(0, 2**63 - 1), max_size=4),
+    )
+    def test_equals_the_uint64_state_word(self, master, path):
+        ss = np.random.SeedSequence([master, *path])
+        assert derive_seed(master, *path) == int(ss.generate_state(1, dtype=np.uint64)[0])
+
+    @pytest.mark.parametrize("path", [(-1,), (5, -1), (5, 1, -(2**70))])
+    def test_negative_entry_is_a_value_error(self, path):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            derive_seed(*path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(
+            st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(0, 2**64)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @example(entries=[0])
+    @example(entries=[0, 0, 0, 0, 0])
+    @example(entries=[2**64, 2**64, 2**64, 2**64])
+    def test_words_of_every_width_and_count(self, entries):
+        # Zeros, one-, two- and three-word entries, and more words than
+        # SeedSequence's 4-word pool.
+        lo, hi = np.random.SeedSequence(entries).generate_state(2).tolist()
+        assert derive_seed(*entries) == lo | hi << 32
+
+    @pytest.mark.parametrize(
+        "path",
+        [(5, 1.5), (5.0,), (5, 1.0), (5, "1"), (5, np.float64(2)), (5, None), (5, True), (False,), (5, np.bool_(True))],
+    )
+    def test_non_integral_entry_is_a_value_error(self, path):
+        # derive_seed(5, 1.5) and derive_seed(5, True) used to equal derive_seed(5, 1).
+        with pytest.raises(ValueError, match="non-negative integers"):
+            derive_seed(*path)
+
+    def test_numpy_integers_are_accepted(self):
+        assert derive_seed(np.int64(5), np.uint8(1), np.uint64(2**64 - 1)) == derive_seed(5, 1, 2**64 - 1)
+        assert derive_seed(np.int32(0), np.int16(3)) == derive_seed(0, 3)
+
+    # SHA-256 over the 5,000 experiment-C session seeds of
+    # configs/exp_c_noise_sweep.json, each as 8 little-endian bytes, taken
+    # from the SeedSequence(...).generate_state implementation.
+    SWEEP_SEEDS_DIGEST = "0c9c2d298515c686d7dcd5d6eb0ee7259d1becde025bd951d3cb52fa4d6588e9"
+
+    def test_experiment_c_session_seeds_are_pinned(self):
+        from qkdfl.experiments import _TAG_SWEEP, ExperimentConfig
+
+        root = Path(__file__).resolve().parent.parent
+        cfg = ExperimentConfig.from_file(root / "configs" / "exp_c_noise_sweep.json")
+        h = hashlib.sha256()
+        for index in range(len(cfg.noise_grid)):
+            for s in range(cfg.sessions_per_point):
+                h.update(derive_seed(cfg.seed, _TAG_SWEEP, index, s).to_bytes(8, "little"))
+        assert (len(cfg.noise_grid), cfg.sessions_per_point) == (5, 1000)
+        assert h.hexdigest() == self.SWEEP_SEEDS_DIGEST
