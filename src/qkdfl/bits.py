@@ -41,22 +41,15 @@ def as_bit_array(bits) -> np.ndarray:
 
 def pack_bits(bits) -> bytes:
     """Pack a 0/1 array into bytes, MSB-first, zero-padded to a byte boundary."""
-    arr = as_bit_array(bits)
-    if arr.size == 0:
-        return b""
-    return np.packbits(arr).tobytes()
+    return np.packbits(as_bit_array(bits)).tobytes()
 
 
-_LE64 = struct.Struct("<Q").pack
+# LE64(t) of the layout above: a non-negative integer as 8 little-endian bytes.
+le64 = struct.Struct("<Q").pack
 # LE64(t) for the first counters, packed once.  4,096 blocks are 128 KiB of
 # output, past any one tensor's mask stream in a 1M-parameter SegNet (its
 # largest weight takes 1,728 blocks); a longer expansion packs the rest.
-_COUNTERS = tuple(_LE64(t) for t in range(4096))
-
-
-def le64(value: int) -> bytes:
-    """Encode a non-negative integer as 8 little-endian bytes."""
-    return _LE64(value)
+_COUNTERS = tuple(le64(t) for t in range(4096))
 
 
 def sha256_expand_bytes(prefix: bytes, num_bytes: int) -> bytes:
@@ -64,7 +57,7 @@ def sha256_expand_bytes(prefix: bytes, num_bytes: int) -> bytes:
     num_blocks = -(-num_bytes // 32)
     counters = _COUNTERS[:num_blocks]
     if num_blocks > len(_COUNTERS):
-        counters += tuple(map(_LE64, range(len(_COUNTERS), num_blocks)))
+        counters += tuple(map(le64, range(len(_COUNTERS), num_blocks)))
     # Hash the shared prefix once; each block resumes from a copy of that state.
     copy = hashlib.sha256(prefix).copy
     blocks = []

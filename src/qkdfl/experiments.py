@@ -388,7 +388,7 @@ def _run_cell(args) -> dict[str, list[dict]]:
     if arm is not None:
         coords["arm"] = arm
     rounds = [
-        {**r.to_json_dict(), "cell": dict(coords), "config_hash": head["config_hash"]}
+        {**dataclasses.asdict(r), "cell": dict(coords), "config_hash": head["config_hash"]}
         for r in reports
     ]
     final = reports[-1].utility

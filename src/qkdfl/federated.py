@@ -132,9 +132,6 @@ class RoundReport:
     bytes_down: int
     bytes_up: int
 
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _mean_proxy(leakage: list[dict], proxy: str) -> float | None:
     vals = [c[proxy] for c in leakage if c[proxy] is not None]

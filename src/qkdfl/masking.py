@@ -73,6 +73,7 @@ from .errors import (
     UndefinedProxyError,
 )
 from .params import ParamVec
+from .seeds import as_int
 
 # Width of a pair key, and the shortest round seed that may key the masks.
 KEY_BITS = 256
@@ -92,7 +93,7 @@ class MaskingContext:
 
     `keys[i]` is client i's row of packed pair keys, None at index i, and
     `keys[i][j] is keys[j][i]`.  `streams` is the round's parked-stream
-    cache: (lo, hi, tensor sizes) -> the pair's packed keystream.
+    cache: (lo, hi, tensor offsets) -> the pair's packed keystream.
     """
 
     def __init__(self, round_seed, round_index: int, num_clients: int,
@@ -103,6 +104,8 @@ class MaskingContext:
             raise ValueError("round_seed must hold only 0/1 bits") from None
         if seed.size < KEY_BITS:
             raise ValueError(f"round_seed must be >= {KEY_BITS} bits, got {seed.size}")
+        round_index = as_int("round_index", round_index)
+        num_clients = as_int("num_clients", num_clients)
         if num_clients < 2:
             raise ValueError("num_clients must be >= 2 for pairwise masking")
         if round_index < 0:
@@ -158,12 +161,11 @@ def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> Param
     bits come from the pair's stream parked in `streams`, or are expanded
     and parked there by the first end of the pair.
     """
-    sizes = tuple(math.prod(shape) for _, shape in pv.layout)
-    if 0 in sizes:
+    offsets = pvops.offsets(pv.layout)
+    if any(start == stop for start, stop in zip(offsets, offsets[1:])):
         raise ValueError("cannot mask a tensor with no elements")
     k, n = len(row), pv.total_len
     client_index = row.index(None)
-    bounds = list(itertools.accumulate(sizes, initial=0))
     # Every peer below starts as a +gamma term and loses it where its bit is 1.
     # The count is unsigned as wide as the smallest signed type that holds
     # -(K - 1)..K - 1, so 2c - (K - 1) can be formed in place below.
@@ -172,11 +174,11 @@ def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> Param
     for j, key in enumerate(row):
         if key is None:
             continue
-        memo_key = (min(client_index, j), max(client_index, j), sizes)
+        memo_key = (min(client_index, j), max(client_index, j), offsets)
         parked = streams.pop(memo_key, None)
         if parked is None:
             bits = np.empty(n, dtype=np.uint8)
-            for ordinal, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            for ordinal, (start, stop) in enumerate(zip(offsets, offsets[1:])):
                 bits[start:stop] = mask_keystream(key, ordinal, stop - start)
             streams[memo_key] = np.packbits(bits)
         else:
@@ -262,22 +264,23 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def _cosine(a: np.ndarray, b: np.ndarray, message: str) -> float:
+    """Cosine of a and b, Pearson's r if both are centred; UndefinedProxyError at a zero norm."""
+    na2 = _dot(a, a)
+    nb2 = _dot(b, b)
+    if na2 == 0.0 or nb2 == 0.0:
+        raise UndefinedProxyError(message)
+    return _dot(a, b) / float(np.sqrt(na2 * nb2))
+
+
 def leakage_proxies(true_delta: ParamVec, masked_delta: ParamVec) -> tuple[float, float]:
     """(cosine similarity, Pearson correlation) between the flattened deltas."""
     if not true_delta.same_structure(masked_delta):
         raise ValueError("deltas are structurally incompatible")
     a = true_delta.flat()
     b = masked_delta.flat()
-    na2 = _dot(a, a)
-    nb2 = _dot(b, b)
-    if na2 == 0.0 or nb2 == 0.0:
-        raise UndefinedProxyError("leakage proxies are undefined for zero-norm deltas")
-    cosine = _dot(a, b) / float(np.sqrt(na2 * nb2))
-    ac = a - a.mean()
-    bc = b - b.mean()
-    va = _dot(ac, ac)
-    vb = _dot(bc, bc)
-    if va == 0.0 or vb == 0.0:
-        raise UndefinedProxyError("Pearson correlation is undefined for constant deltas")
-    pearson = _dot(ac, bc) / float(np.sqrt(va * vb))
+    cosine = _cosine(a, b, "leakage proxies are undefined for zero-norm deltas")
+    pearson = _cosine(
+        a - a.mean(), b - b.mean(), "Pearson correlation is undefined for constant deltas"
+    )
     return cosine, pearson

@@ -37,24 +37,24 @@ def nmse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(err / (energy + NMSE_EPS))
 
 
-def pixel_accuracy(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
+def _label_maps(pred_labels, true_labels) -> tuple[np.ndarray, np.ndarray]:
     pred_labels = np.asarray(pred_labels)
     true_labels = np.asarray(true_labels)
     if pred_labels.shape != true_labels.shape:
         raise ValueError("label map shapes differ")
     if pred_labels.size == 0:
         raise ValueError("empty dataset")
+    return pred_labels, true_labels
+
+
+def pixel_accuracy(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
+    pred_labels, true_labels = _label_maps(pred_labels, true_labels)
     return float(np.count_nonzero(pred_labels == true_labels)) / pred_labels.size
 
 
 def mean_iou(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
     """Mean IoU over classes present in prediction or ground truth."""
-    pred_labels = np.asarray(pred_labels)
-    true_labels = np.asarray(true_labels)
-    if pred_labels.shape != true_labels.shape:
-        raise ValueError("label map shapes differ")
-    if pred_labels.size == 0:
-        raise ValueError("empty dataset")
+    pred_labels, true_labels = _label_maps(pred_labels, true_labels)
     ious = []
     for c in range(len(RADAR_CLASS_NAMES)):
         in_pred = pred_labels == c

@@ -19,7 +19,7 @@ Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 @functools.lru_cache(maxsize=64)
-def _offsets(layout: Layout) -> tuple[int, ...]:
+def offsets(layout: Layout) -> tuple[int, ...]:
     """Start of each tensor in the buffer, followed by the buffer length."""
     return tuple(itertools.accumulate((math.prod(s) for _, s in layout), initial=0))
 
@@ -38,7 +38,7 @@ class ParamVec:
     @classmethod
     def from_buffer(cls, layout: Layout, buf: np.ndarray) -> "ParamVec":
         """Wrap `buf` (not copied) under `layout`."""
-        if buf.dtype != np.float64 or buf.shape != (_offsets(layout)[-1],):
+        if buf.dtype != np.float64 or buf.shape != (offsets(layout)[-1],):
             raise ValueError("buffer does not match the layout")
         pv = cls.__new__(cls)
         pv.layout, pv.buf = layout, buf
@@ -47,7 +47,7 @@ class ParamVec:
     @property
     def entries(self) -> tuple[tuple[str, np.ndarray], ...]:
         """(name, view) pairs in canonical order; writes go to the buffer."""
-        offs = _offsets(self.layout)
+        offs = offsets(self.layout)
         return tuple(
             (name, self.buf[start:stop].reshape(shape))
             for (name, shape), start, stop in zip(self.layout, offs, offs[1:])
@@ -61,9 +61,6 @@ class ParamVec:
     def nbytes_serialized(self) -> int:
         """Size of one full transfer: float64 payload, no framing."""
         return self.buf.nbytes
-
-    def names(self) -> list[str]:
-        return [name for name, _ in self.layout]
 
     def copy(self) -> "ParamVec":
         return ParamVec.from_buffer(self.layout, self.buf.copy())
@@ -106,7 +103,7 @@ def mean(pvs: list[ParamVec]) -> ParamVec:
         _require_same_structure(first, pv)
         total += pv.buf
     total /= len(pvs)
-    offs = _offsets(first.layout)
+    offs = offsets(first.layout)
     ones = [start for start, stop in zip(offs, offs[1:]) if stop - start == 1]
     total[ones] = np.mean(np.stack([pv.buf[ones] for pv in pvs], axis=1), axis=1)
     return ParamVec.from_buffer(first.layout, total)

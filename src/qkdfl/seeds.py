@@ -1,4 +1,4 @@
-"""The run's seed tree: every tag, the one entropy coder and both builders.
+"""The run's seed tree: its tags, its integer rule, the entropy coder and both builders.
 
 Every random draw of a run descends from the config seed through the paths
 of the table below: `derive_seed` paths, and the BB84 substreams of a
@@ -38,6 +38,14 @@ ALICE_BITS, ALICE_BASES, EVE, NOISE, BOB = range(5)
 # SeedSequence's output hash constants h_0, h_1, h_2: h_0 = 0x8B51F9DD and
 # h_{k+1} = h_k * 0x58F38DED mod 2**32 (numpy's INIT_B and MULT_B).
 _SEED_HASH = (0x8B51F9DD, 0x464A0A99, 0x819D14A5)
+
+
+def as_int(name: str, value) -> int:
+    """`value` as an int: a numpy integer becomes one, and a bool or a
+    non-integral value is a ValueError naming the field `name`."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _entropy_words(values) -> bytes:

@@ -6,7 +6,7 @@ Each entry of `OVERRIDES` names a shipped config and the few fields changed
 in it; `write_run` runs it into OUT_DIR/<name> (default: tests/golden/runs)
 and, for an A or B run, writes the `qkdfl report` leakage table beside it.
 `tests/test_golden_runs.py` reruns every entry and compares the output
-with these files, and CI reruns this script and diffs the two trees.  A
+with these files, the C entries and the leakage tables byte for byte.  A
 change that moves an output regenerates the fixture with this script;
 the diff of `tests/golden/runs/` is then the list of moved values.
 """

@@ -356,3 +356,20 @@ class TestSampleIdentity:
         assert a == a and a != b
         assert len({a, b, a}) == 2
         assert b in [a, b] and a not in [b]
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda tmp: gen_channel_dataset(0, snr_db=10.0), "n must be >= 1",
+                         id="no-channel-samples"),
+            pytest.param(lambda tmp: gen_radar_dataset(0), "n must be >= 1", id="no-radar-samples"),
+            pytest.param(lambda tmp: save_dataset(tmp / "empty.qfds", []),
+                         "cannot save an empty dataset", id="save-empty"),
+        ],
+    )
+    def test_raises(self, call, message, tmp_path):
+        with pytest.raises(ValueError, match=message):
+            call(tmp_path)
+        assert not any(tmp_path.iterdir())

@@ -527,3 +527,18 @@ class TestReportLeakage:
     def test_rejects_non_run_directory(self, tmp_path):
         with pytest.raises(ConfigError):
             report_leakage(tmp_path)
+
+
+class TestGuards:
+    @pytest.mark.parametrize("raw", [[], ["experiment", "A"], "A", None])
+    def test_config_not_an_object(self, raw):
+        with pytest.raises(ConfigError, match=r"^my\.json: expected a JSON object$"):
+            ExperimentConfig.from_dict(raw, source="my.json")
+
+    def test_blank_rounds_lines_are_skipped(self, tmp_path):
+        run_experiment(make_cfg(clients=[3], modes=["plain"], epochs=1), tmp_path / "run")
+        want = report_leakage(tmp_path / "run")
+        rounds = tmp_path / "run" / "rounds.jsonl"
+        lines = rounds.read_text().splitlines()
+        rounds.write_text("\n".join(["", lines[0], "   ", *lines[1:], ""]) + "\n")
+        assert report_leakage(tmp_path / "run") == want

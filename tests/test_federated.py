@@ -247,7 +247,7 @@ class TestRunTraining:
         a, ra = run_training(pv, 2, make_cfg("qkd_sa"), shards, val)
         b, rb = run_training(pv, 2, make_cfg("qkd_sa"), shards, val)
         assert pvops.max_abs_diff(a, b) == 0.0
-        assert [r.to_json_dict() for r in ra] == [r.to_json_dict() for r in rb]
+        assert ra == rb
 
     def test_radar_round_runs(self):
         spec = ModelSpec(task="radar", init_seed=1)
@@ -328,7 +328,7 @@ class TestConcurrentClients:
             sys.setswitchinterval(interval)
         assert threaded.layout == serial.layout
         assert threaded.buf.tobytes() == serial.buf.tobytes()
-        assert threaded_report.to_json_dict() == serial_report.to_json_dict()
+        assert threaded_report == serial_report
 
     def test_default_trainers_match_serial(self):
         shards, val = uneven_setup("channel", 3)
@@ -374,3 +374,22 @@ class TestConcurrentClients:
             self.failing_round(monkeypatch, 6)()
         assert threading.active_count() == baseline
         assert not [t for t in threading.enumerate() if t.name.startswith("qkdfl-trainer")]
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: make_cfg("plain", num_clients=0),
+                         "num_clients must be >= 1", id="no-clients"),
+            pytest.param(lambda: make_cfg("plain", epochs=-1),
+                         "epochs must be >= 0", id="negative-epochs"),
+            pytest.param(
+                lambda: run_training(init_params(CHANNEL_SPEC), 0, make_cfg("plain"), [[], [], []]),
+                "num_rounds must be >= 1", id="no-rounds",
+            ),
+        ],
+    )
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

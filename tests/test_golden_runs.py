@@ -7,7 +7,8 @@ the noise sweep.
 Integers, strings, bools and nulls must match exactly; floats to a relative
 1e-12, since a matmul kernel may round differently on another CPU.  Each
 run prints the largest distance between two floats, in units in the last
-place (ULP).
+place (ULP).  What no training feeds is exact on any CPU: every file of a
+C sweep, and the leakage table the report verb writes from committed rounds.
 """
 
 import csv
@@ -15,12 +16,13 @@ import dataclasses
 import importlib.util
 import json
 import math
+import shutil
 import struct
 from pathlib import Path
 
 import pytest
 
-from qkdfl.experiments import _typed_record
+from qkdfl.experiments import _typed_record, report_leakage
 from qkdfl.federated import RoundReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,11 +103,23 @@ def test_rerun_matches_fixture(name, tmp_path):
         for f in names
     )
     print(f"{name}: largest float distance {worst} ULP")
+    if name.startswith("exp_c_"):
+        for f in names:
+            assert (tmp_path / f).read_bytes() == (want_dir / f).read_bytes(), f"{name}/{f}"
 
 
 # The run directories with per-round records; the rerun test above shows
 # that the current code writes them.
 FEDERATED_RUNS = ("exp_a_channel", "exp_a_radar", "exp_b_channel")
+
+
+@pytest.mark.parametrize("name", FEDERATED_RUNS)
+def test_report_verb_rewrites_the_leakage_table(name, tmp_path):
+    want = GOLDEN / "runs" / name / "leakage.csv"
+    run = shutil.copytree(want.parent, tmp_path / name)
+    (run / "leakage.csv").unlink()
+    report_leakage(run)
+    assert (run / "leakage.csv").read_bytes() == want.read_bytes()
 
 
 def test_round_report_fields_are_the_round_keys():

@@ -397,7 +397,7 @@ def assert_matches_oracles(pv, client_index, ctx):
     k, gamma = ctx.cohort.num_clients, ctx.mask_scale
     got = mask_sum(pv, client_index, ctx)
     want = count_pair_mask_sum(pv, client_index, ctx)
-    assert got.names() == want.names()
+    assert got.layout == want.layout
     for (_, a), (_, b) in zip(got.entries, want.entries):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -844,6 +844,20 @@ class TestMaskingContext:
         with pytest.raises(ValueError):
             make_ctx(num_clients=1)
 
+    @pytest.mark.parametrize("field", ["round_index", "num_clients"])
+    @pytest.mark.parametrize("value", [True, 1.5, 2.5, "1", -1])
+    def test_round_and_cohort_size_are_integers(self, field, value):
+        # As BB84Config checks its seed: named, not a struct or range error;
+        # -1 fails the bound instead, with its own message.
+        with pytest.raises(ValueError, match=field):
+            make_ctx(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        ctx = make_ctx(num_clients=np.int64(3), round_index=np.int64(1))
+        assert type(ctx.cohort.round_index) is int and type(ctx.cohort.num_clients) is int
+        assert ctx.cohort.round_index == 1
+        assert ctx.keys == make_ctx(num_clients=3, round_index=1).keys
+
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             make_ctx(**{"mask_scale": -1e-3})
@@ -889,3 +903,42 @@ class TestMaskingContext:
                 assert value.tobytes() not in (packed, seed.tobytes())
             elif isinstance(value, (bytes, bytearray)):
                 assert value not in (packed, seed.tobytes())
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(
+                lambda: apply_pairwise_masks(
+                    ParamVec([("w", np.zeros((0, 3))), ("b", np.ones(2))]), 0, make_ctx()
+                ),
+                ValueError, "cannot mask a tensor with no elements", id="empty-first-tensor",
+            ),
+            pytest.param(
+                lambda: apply_pairwise_masks(
+                    ParamVec([("b", np.ones(2)), ("w", np.zeros((3, 0)))]), 1, make_ctx()
+                ),
+                ValueError, "cannot mask a tensor with no elements", id="empty-last-tensor",
+            ),
+            pytest.param(
+                lambda: aggregate([apply_pairwise_masks(ParamVec([("a", np.ones(2))]), 0, make_ctx())]),
+                AggregationShapeError, "at least two masked updates", id="one-upload",
+            ),
+            pytest.param(
+                lambda: leakage_proxies(ParamVec([("a", np.ones(2))]), ParamVec([("b", np.ones(2))])),
+                ValueError, "deltas are structurally incompatible", id="structure",
+            ),
+            pytest.param(
+                # Nonzero norms, so the cosine is defined; the masked delta is constant.
+                lambda: leakage_proxies(
+                    ParamVec([("a", np.array([1.0, 2.0, 3.0]))]), ParamVec([("a", np.full(3, 5.0))])
+                ),
+                UndefinedProxyError, "Pearson correlation is undefined for constant deltas",
+                id="constant-delta",
+            ),
+        ],
+    )
+    def test_raises(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

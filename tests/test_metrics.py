@@ -87,3 +87,20 @@ class TestEvalChunks:
         assert preds[4] == preds[32]
         assert preds[3] == preds[32]
         assert preds[1] == preds[32]
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: nmse(np.zeros((2, 3)), np.zeros((2, 4))),
+                         "prediction and target shapes differ", id="nmse-shapes"),
+            pytest.param(lambda: mean_iou(np.zeros((2, 2), int), np.zeros((2, 3), int)),
+                         "label map shapes differ", id="miou-shapes"),
+            pytest.param(lambda: mean_iou(np.full((2, 2), 7), np.full((2, 2), 9)),
+                         "no class present in either label map", id="miou-no-class"),
+        ],
+    )
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

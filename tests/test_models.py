@@ -630,3 +630,22 @@ class TestParamsRoundTrip:
         radar = init_params(ModelSpec(task="radar", init_seed=0))
         assert 1_000 <= channel.total_len <= 10_000
         assert 10_000 <= radar.total_len <= 200_000
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: ModelSpec(task="lidar"), "unknown task 'lidar'", id="task"),
+            pytest.param(lambda: Conv2D("c", 2, 3, 1, 1), "same padding requires odd kernel sizes",
+                         id="even-kernel"),
+            pytest.param(lambda: Conv2D("c", 3, 3, 2, 1).forward(np.zeros((1, 4, 4, 3))),
+                         "c: expected 2 input channels, got 3", id="input-channels"),
+            pytest.param(lambda: Activation("tanh"), "unknown activation 'tanh'", id="activation"),
+            pytest.param(lambda: MaxPool2().forward(np.zeros((1, 4, 5, 1))),
+                         "pooling needs even spatial dims, got 4x5", id="odd-pool"),
+        ],
+    )
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -43,7 +43,7 @@ class TestLayout:
         entries = random_entries(shape_list, np.random.default_rng(seed))
         pv = ParamVec(entries)
         assert_entries_equal(pv, entries)
-        assert pv.names() == [name for name, _ in entries]
+        assert [name for name, _ in pv.layout] == [name for name, _ in entries]
         assert pv.total_len == sum(arr.size for _, arr in entries)
         assert pv.nbytes_serialized == 8 * pv.total_len
         assert same_bytes(pv.flat(), np.concatenate([arr.ravel() for _, arr in entries]))
@@ -190,7 +190,7 @@ class TestModelBuffers:
                 assert arr.shape == view.shape and np.shares_memory(arr, view)
             assert np.shares_memory(conv.dw, net.grads.buf)
             assert np.shares_memory(conv.db, net.grads.buf)
-        assert net.params.names() == [
+        assert [name for name, _ in net.params.layout] == [
             f"{c.name}.{p}" for c in net.convs for p in ("w", "b")
         ]
 
@@ -216,3 +216,9 @@ class TestModelBuffers:
         assert not np.shares_memory(got.buf, net.params.buf)
         got.buf[:] = 0.0
         assert np.abs(net.params.buf).max() > 0.0
+
+
+class TestGuards:
+    def test_mean_of_no_vectors(self):
+        with pytest.raises(ValueError, match="mean of empty list"):
+            pvops.mean([])

@@ -401,3 +401,23 @@ class TestSubstreamDraws:
         for eta in (*np.sort(u)[::997], 0.05, 0.2, 1.0, 1 - 2.0**-53, 5e-324):
             last = (math.ceil(eta * 2.0**53) << 11) - 1
             assert ((words <= last) == (u < eta)).all()
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(
+                lambda: qber_of(np.zeros(3, np.uint8), np.zeros(2, np.uint8), np.ones(3, np.uint8)),
+                ValueError, "must have equal length", id="unequal-lengths",
+            ),
+            pytest.param(
+                # The fast path's one OR pass: a uint8 2 is not a bit.
+                lambda: qber_of(np.array([2, 0], np.uint8), np.zeros(2, np.uint8), np.ones(2, bool)),
+                ValueError, "values other than 0/1", id="fast-path-non-bit",
+            ),
+        ],
+    )
+    def test_raises(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

@@ -112,3 +112,17 @@ class TestEvaluation:
         pv = init_params(CHANNEL_SPEC)
         with pytest.raises(ValueError):
             eval_channel(CHANNEL_SPEC, pv, [])
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "epochs, shard, message",
+        [
+            pytest.param(-1, small_channel_data(), "epochs must be >= 0", id="negative-epochs"),
+            pytest.param(1, [], "empty training shard", id="empty-shard"),
+        ],
+    )
+    def test_raises(self, epochs, shard, message):
+        pv = init_params(CHANNEL_SPEC)
+        with pytest.raises(ValueError, match=message):
+            train_local(CHANNEL_SPEC, pv, shard, epochs, 1e-3, 4, seed=0)
