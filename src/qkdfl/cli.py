@@ -11,6 +11,7 @@ command line), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -54,7 +55,7 @@ def _load_config(path: str, seed_override: int | None = None) -> ExperimentConfi
     if seed_override is not None:
         # Through from_dict, so the override meets the same checks as the file.
         cfg = ExperimentConfig.from_dict(
-            {**cfg.to_dict(), "seed": seed_override}, source=f"{path} with --seed"
+            {**dataclasses.asdict(cfg), "seed": seed_override}, source=f"{path} with --seed"
         )
     return cfg
 
@@ -79,7 +80,7 @@ def cmd_report(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _load_config(args.config)
     print(f"{args.config}: OK")
-    print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True))
     return 0
 
 

@@ -29,6 +29,10 @@ class DivergenceError(QkdflError):
     """Local training produced a non-finite loss, or a masked aggregate is not finite."""
 
 
+class LayerStateError(QkdflError):
+    """A layer's backward ran without a forward of its own to consume."""
+
+
 class ConfigError(QkdflError):
     """An experiment configuration is missing or malformed."""
 

@@ -277,11 +277,9 @@ class ExperimentConfig:
         for i, v in enumerate(self.channel_dims):
             check(v >= 1, f"channel_dims[{i}]", "must be a positive integer")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)  # JSON writes a tuple as a list
-
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        # JSON writes each tuple field of asdict's copy as a list.
+        canon = json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
     def model_spec(self) -> ModelSpec:
@@ -532,7 +530,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         for name in _RUN_FILES:
             (out / name).unlink(missing_ok=True)
     chash = cfg.config_hash()
-    summary: dict = {"config": cfg.to_dict(), "config_hash": chash}
+    config = dataclasses.asdict(cfg)
+    summary: dict = {"config": config, "config_hash": chash}
     for name, rows in tables.items():
         if name.endswith(".jsonl"):
             _write_jsonl(out / name, rows)
@@ -543,7 +542,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
+        "config": config,
         "config_hash": chash,
         "csv_schemas": {name: CSV_SCHEMAS[name] for name in tables if name in CSV_SCHEMAS},
         "files": sorted(["manifest.json", "summary.json", *tables]),

@@ -214,6 +214,48 @@ def _train_clients(
     return updates
 
 
+def _secure_round(
+    global_params: ParamVec,
+    shards: list[list],
+    cfg: RoundConfig,
+    session_key: np.ndarray | None,
+    trainers: int,
+) -> tuple[ParamVec, float, list[dict]]:
+    """Train, mask, aggregate and measure leakage: (new global params,
+    recon error, per-client leakage).  The K updates, the uploads and the
+    leakage deltas are locals, so they are freed on return, before the
+    round evaluates the new model."""
+    updates = _train_clients(global_params, shards, cfg, trainers)
+    if cfg.mode in MASKED_MODES:
+        ctx = MaskingContext(
+            round_seed=_round_seed_bits(cfg, session_key),
+            round_index=cfg.round_index,
+            num_clients=cfg.num_clients,
+            mask_scale=cfg.mask_scale,
+        )
+        masked = [
+            apply_pairwise_masks(updates[k], k, ctx) for k in range(cfg.num_clients)
+        ]
+        uploads = [m.params for m in masked]
+        new_global = aggregate(masked)
+        recon_error = pvops.max_abs_diff(pvops.mean(updates), new_global)
+    else:
+        uploads = updates
+        new_global = pvops.mean(updates)
+        recon_error = 0.0
+
+    leakage = []
+    for k in range(cfg.num_clients):
+        true_delta = pvops.sub(updates[k], global_params)
+        masked_delta = pvops.sub(uploads[k], global_params)
+        try:
+            cosine, pearson = leakage_proxies(true_delta, masked_delta)
+        except UndefinedProxyError:
+            cosine = pearson = None
+        leakage.append({"cosine": cosine, "pearson": pearson})
+    return new_global, recon_error, leakage
+
+
 def run_round(
     global_params: ParamVec,
     shards: list[list],
@@ -248,35 +290,10 @@ def run_round(
     # An aborted round keeps the global model and moves no bytes.
     new_global, recon_error, leakage, nbytes = global_params, None, [], 0
     if status == STATUS_SECURE:
-        updates = _train_clients(
-            global_params, shards, cfg, usable_cores() if trainers is None else trainers
+        new_global, recon_error, leakage = _secure_round(
+            global_params, shards, cfg, session_key,
+            usable_cores() if trainers is None else trainers,
         )
-        if cfg.mode in MASKED_MODES:
-            ctx = MaskingContext(
-                round_seed=_round_seed_bits(cfg, session_key),
-                round_index=cfg.round_index,
-                num_clients=cfg.num_clients,
-                mask_scale=cfg.mask_scale,
-            )
-            masked = [
-                apply_pairwise_masks(updates[k], k, ctx) for k in range(cfg.num_clients)
-            ]
-            uploads = [m.params for m in masked]
-            new_global = aggregate(masked)
-            recon_error = pvops.max_abs_diff(pvops.mean(updates), new_global)
-        else:
-            uploads = updates
-            new_global = pvops.mean(updates)
-            recon_error = 0.0
-
-        for k in range(cfg.num_clients):
-            true_delta = pvops.sub(updates[k], global_params)
-            masked_delta = pvops.sub(uploads[k], global_params)
-            try:
-                cosine, pearson = leakage_proxies(true_delta, masked_delta)
-            except UndefinedProxyError:
-                cosine = pearson = None
-            leakage.append({"cosine": cosine, "pearson": pearson})
         nbytes = global_params.nbytes_serialized
 
     report = RoundReport(

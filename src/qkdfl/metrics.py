@@ -48,13 +48,20 @@ def _label_maps(pred_labels, true_labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pixel_accuracy(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
-    pred_labels, true_labels = _label_maps(pred_labels, true_labels)
-    return float(np.count_nonzero(pred_labels == true_labels)) / pred_labels.size
+    return _pixel_accuracy(*_label_maps(pred_labels, true_labels))
 
 
 def mean_iou(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
     """Mean IoU over classes present in prediction or ground truth."""
-    pred_labels, true_labels = _label_maps(pred_labels, true_labels)
+    return _mean_iou(*_label_maps(pred_labels, true_labels))
+
+
+# The two scores on label maps that _label_maps has checked.
+def _pixel_accuracy(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
+    return float(np.count_nonzero(pred_labels == true_labels)) / pred_labels.size
+
+
+def _mean_iou(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
     ious = []
     for c in range(len(RADAR_CLASS_NAMES)):
         in_pred = pred_labels == c
@@ -90,5 +97,5 @@ def eval_channel(spec: ModelSpec, pv: ParamVec, samples: list) -> float:
 def eval_radar(spec: ModelSpec, pv: ParamVec, samples: list) -> tuple[float, float]:
     """(pixel accuracy, mean IoU) of the segmenter over a dataset."""
     logits, true_labels = _predict(spec, pv, samples)
-    pred_labels = logits.argmax(axis=-1)
-    return pixel_accuracy(pred_labels, true_labels), mean_iou(pred_labels, true_labels)
+    maps = _label_maps(logits.argmax(axis=-1), true_labels)
+    return _pixel_accuracy(*maps), _mean_iou(*maps)

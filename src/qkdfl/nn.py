@@ -1,7 +1,19 @@
 """Minimal float64 conv-net building blocks with explicit backprop.
 
 Layers are stateful: forward() caches what backward() needs, so each layer
-instance belongs to exactly one position in one model.  Tensors are NHWC.
+instance belongs to exactly one position in one model.  Each cache dies at
+its last use, so a training step holds only what its remaining backward
+passes read, and one backward consumes one forward:
+    Conv2D            its rows (below), from forward until backward has formed
+                      dw and db, before the dx convolution; a forward first
+                      drops the rows of a forward that had no backward, as in
+                      evaluation.  The input shape `_xshape` stays set.
+    Activation        selu and softplus: the input; relu: only its x > 0
+                      mask; from forward until backward.
+    MaxPool2          the flat position of each window's maximum and the input
+                      shape, from forward until backward.
+    UpsampleNearest2  the input shape, from forward until backward.
+A backward with nothing to consume raises LayerStateError.  Tensors are NHWC.
 Convolutions are stride-1 with same padding (odd kernels only), which keeps
 spatial dims equal between input and output at every scale.  A convolution
 is kh accumulated matmuls over the row offsets of one width-only buffer
@@ -18,6 +30,8 @@ layers and Adam keep to few numpy calls and reuse their buffers with
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import LayerStateError
 
 SELU_ALPHA = 1.6732632423543772848170429916717
 SELU_SCALE = 1.0507009873554804934193349852946
@@ -84,6 +98,17 @@ def _rowconv(rows: np.ndarray, wk: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
+def _weight_grad(rows: np.ndarray, dy3: np.ndarray, dwk: np.ndarray, h: int) -> None:
+    """dwk[i] = sum over the batch of rows_i^T @ dy3, each row offset's
+    kernel-row gradient, written in place; no view of `rows` outlives it."""
+    for i, op in enumerate(_row_slices(rows, h)):
+        np.matmul(op.transpose(0, 2, 1), dy3).sum(axis=0, out=dwk[i])
+
+
+def _no_forward(layer: str) -> LayerStateError:
+    return LayerStateError(f"{layer}: backward without a forward of its own")
+
+
 class Conv2D:
     """Same-padded stride-1 convolution via the row-offset kernel, which
     serves the forward pass, the weight gradient and the input gradient.
@@ -115,6 +140,7 @@ class Conv2D:
         n, h, w, cin = x.shape
         if cin != self.cin:
             raise ValueError(f"{self.name}: expected {self.cin} input channels, got {cin}")
+        self._rows = None  # free an unconsumed forward's rows before building these
         self._rows = _rowcols(x, self.kh, self.kw)
         self._xshape = x.shape
         out = _rowconv(self._rows, self.w.reshape(self.kh, -1, self.cout), h)
@@ -122,11 +148,12 @@ class Conv2D:
         return out.reshape(n, h, w, self.cout)
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
+        if self._rows is None:
+            raise _no_forward(self.name)
         n, h, w, cin = self._xshape
-        dy3 = dy.reshape(n, h * w, self.cout)
-        dwk = self.dw.reshape(self.kh, -1, self.cout)
-        for i, op in enumerate(_row_slices(self._rows, h)):
-            np.matmul(op.transpose(0, 2, 1), dy3).sum(axis=0, out=dwk[i])
+        _weight_grad(self._rows, dy.reshape(n, h * w, self.cout),
+                     self.dw.reshape(self.kh, -1, self.cout), h)
+        self._rows = None  # their last use: dx reads only dy and w
         self.db[...] = dy.reshape(-1, self.cout).sum(axis=0)
         if not self.input_grad:
             return None
@@ -145,10 +172,10 @@ class Activation:
         if kind not in self.KINDS:
             raise ValueError(f"unknown activation {kind!r}")
         self.kind = kind
-        self._x = None
+        self._saved = None  # the input, or relu's x > 0 mask
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._saved = x > 0 if self.kind == "relu" else x
         if self.kind == "selu":
             # scale * (alpha * expm1(min(x, 0)) + max(x, 0)), in one buffer.
             out = np.minimum(x, 0.0)
@@ -168,7 +195,9 @@ class Activation:
         return np.maximum(x, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._x
+        x, self._saved = self._saved, None
+        if x is None:
+            raise _no_forward(f"{self.kind} activation")
         if self.kind == "selu":
             # dy * (scale * where(x > 0, 1, alpha * exp(min(x, 0)))), in two buffers.
             g = np.minimum(x, 0.0)
@@ -187,7 +216,7 @@ class Activation:
             g += 1.0
             np.reciprocal(g, out=g)
             return np.multiply(dy, g, out=g)
-        return dy * (x > 0)
+        return dy * x  # relu: x is the x > 0 mask
 
 
 class MaxPool2:
@@ -213,9 +242,12 @@ class MaxPool2:
         return windows.ravel().take(self._pos).reshape(n, h // 2, w // 2, c)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        if self._pos is None:
+            raise _no_forward("MaxPool2")
         n, h, w, c = self._xshape
         dxr = np.zeros(4 * dy.size)
         dxr[self._pos] = dy.ravel()
+        self._pos = self._xshape = None
         return (
             dxr.reshape(n, h // 2, w // 2, c, 2, 2)
             .transpose(0, 1, 4, 2, 5, 3)
@@ -237,7 +269,9 @@ class UpsampleNearest2:
         return out.reshape(n, 2 * h, 2 * w, c)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        n, h, w, c = self._xshape
+        if self._xshape is None:
+            raise _no_forward("UpsampleNearest2")
+        (n, h, w, c), self._xshape = self._xshape, None
         return dy.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4))
 
 

@@ -51,6 +51,9 @@ def as_int(name: str, value) -> int:
 def _entropy_words(values) -> bytes:
     """Non-negative ints as SeedSequence's uint32 entropy words, little-endian:
     each value's 32-bit words, low first, and a zero value is one word."""
+    # A lone int (each BB84 substream build) skips the general coder's passes.
+    if len(values) == 1 and type(v := values[0]) is int and v >= 0:
+        return v.to_bytes((v.bit_length() + 31) // 32 * 4 or 4, "little")
     try:
         if bool in map(type, values):  # True would code as 1
             raise TypeError

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -77,7 +78,7 @@ class TestConfig:
     @settings(max_examples=200, deadline=None)
     @given(cfg=valid_configs)
     def test_json_round_trip(self, cfg):
-        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
 

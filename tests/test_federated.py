@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -374,6 +375,33 @@ class TestConcurrentClients:
             self.failing_round(monkeypatch, 6)()
         assert threading.active_count() == baseline
         assert not [t for t in threading.enumerate() if t.name.startswith("qkdfl-trainer")]
+
+
+class TestRoundMemory:
+    """A round frees each buffer at its last use."""
+
+    def test_updates_freed_before_evaluation(self, monkeypatch):
+        spec = ModelSpec(task="radar", init_seed=1)
+        shards, val = uneven_setup("radar", 3)
+        cfg = make_cfg("qkd_sa", model=spec, batch_size=4)
+        refs, alive = [], []
+        train_clients, evaluate = federated._train_clients, federated._evaluate
+
+        def keep_refs(*args):
+            updates = train_clients(*args)
+            refs.extend(weakref.ref(u) for u in updates)
+            return updates
+
+        def count_alive(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return evaluate(*args)
+
+        monkeypatch.setattr(federated, "_train_clients", keep_refs)
+        monkeypatch.setattr(federated, "_evaluate", count_alive)
+        _, report = run_round(init_params(spec), shards, cfg, val, trainers=1)
+        assert report.status == STATUS_SECURE
+        assert len(refs) == 3
+        assert alive == [0]
 
 
 class TestGuards:

@@ -104,3 +104,23 @@ class TestGuards:
     def test_raises(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+class TestEvalRadar:
+    def test_label_maps_checked_once(self, monkeypatch):
+        samples = gen_radar_dataset(8, size=16, seed=4)
+        spec = ModelSpec(task="radar", init_seed=3)
+        pv = init_params(spec)
+        calls = []
+        check = metrics._label_maps
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(metrics, "_label_maps", counting)
+        got = metrics.eval_radar(spec, pv, samples)
+        assert len(calls) == 1
+        logits, labels = metrics._predict(spec, pv, samples)
+        pred = logits.argmax(axis=-1)
+        assert got == (pixel_accuracy(pred, labels), mean_iou(pred, labels))

@@ -11,6 +11,7 @@ from scipy.signal import convolve2d, correlate2d
 from scipy.special import expit
 from scipy.stats import truncnorm
 
+from qkdfl.errors import LayerStateError
 from qkdfl.models import (
     ModelSpec,
     build_model,
@@ -598,6 +599,69 @@ class TestShapes:
         p = softmax(big)
         assert np.isfinite(p).all()
         assert abs(p.sum() - 1.0) < 1e-12
+
+
+class TestLayerState:
+    """One backward consumes one forward; a backward without one names the layer."""
+
+    @staticmethod
+    def _check(make, name, x):
+        """A new layer's backward, and a second backward on one forward, raise."""
+        message = f"^{name}: backward without a forward of its own$"
+        layer = make()
+        dy = np.ones_like(layer.forward(x))
+        with pytest.raises(LayerStateError, match=message):
+            make().backward(dy)
+        layer.backward(dy)
+        with pytest.raises(LayerStateError, match=message):
+            layer.backward(dy)
+        return layer
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_conv2d(self, input_grad):
+        x = np.random.default_rng(0).standard_normal((2, 4, 4, 2))
+        conv = self._check(lambda: Conv2D("enc2", 3, 3, 2, 3, input_grad=input_grad), "enc2", x)
+        assert conv._xshape == x.shape  # read after backward by the benchmark's counts
+
+    @pytest.mark.parametrize("kind", Activation.KINDS)
+    def test_activation(self, kind):
+        x = np.linspace(-2.0, 2.0, 16).reshape(1, 4, 4, 1)
+        self._check(lambda: Activation(kind), f"{kind} activation", x)
+
+    def test_maxpool2(self):
+        self._check(MaxPool2, "MaxPool2", np.arange(16.0).reshape(1, 4, 4, 1))
+
+    def test_upsample_nearest2(self):
+        self._check(UpsampleNearest2, "UpsampleNearest2", np.arange(4.0).reshape(1, 2, 2, 1))
+
+
+class TestStepMemory:
+    def test_channel_step_frees_caches_within_forward_bound(self):
+        spec = ModelSpec(task="channel", init_seed=2)
+        net = build_model(spec)
+        set_params(net, init_params(spec))
+        rng = np.random.default_rng(6)
+        n, h, w = 16, 48, 14  # one batch of the shipped exp_a_channel config
+        x = np.abs(rng.standard_normal((n, h, w, 1)))
+        y = np.abs(rng.standard_normal((n, h, w, 1)))
+        tracemalloc.start()
+        try:
+            net.loss_and_grads(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The forward keeps each conv's rows and each activation's input for
+        # the backward, and beside them at most one conv's input and its
+        # zero-padded copy while that conv cuts its rows.  A backward that
+        # frees each cache at its last use never holds more than that.
+        kept = transient = 0
+        for conv in net.convs:
+            hp, wp = h + conv.kh - 1, w + conv.kw - 1
+            kept += 8 * n * (hp * w * conv.kw * conv.cin + h * w * conv.cout)
+            transient = max(transient, 8 * n * (h * w + hp * wp) * conv.cin)
+        assert peak <= kept + transient
+        assert all(conv._rows is None for conv in net.convs)
+        assert all(act._saved is None for act in net.acts)
 
 
 class TestParamsRoundTrip:

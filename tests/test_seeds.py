@@ -106,6 +106,11 @@ class TestSubstream:
         for stream, child in zip(STREAMS, np.random.SeedSequence(seed).spawn(5)):
             assert substream(seed, stream).state == np.random.PCG64(child).state
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**200])
+    def test_lone_int_words_are_the_general_coders(self, seed):
+        # A lone int skips the general coder; (seed, 0) still goes through it.
+        assert seeds._entropy_words((seed,)) == seeds._entropy_words((seed, 0))[:-4]
+
     def test_a_path_from_a_session_seed_would_alias_it(self):
         # Why no derive_seed path starts at a session seed: for a two-word
         # seed Q, substream(Q, i) has the pool of [Q, 0, 0, i].
