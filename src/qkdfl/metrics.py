@@ -82,11 +82,12 @@ def _predict(spec: ModelSpec, pv: ParamVec, samples: list) -> tuple[np.ndarray, 
         raise ValueError("empty dataset")
     net = build_model(spec)
     set_params(net, pv)
-    outs = [
-        net.forward(stack_batch(samples[start : start + _EVAL_CHUNK])[0])
-        for start in range(0, len(samples), _EVAL_CHUNK)
-    ]
-    return np.concatenate(outs), stack_batch(samples)[1]
+    outs, targets = [], []
+    for start in range(0, len(samples), _EVAL_CHUNK):
+        x, y = stack_batch(samples[start : start + _EVAL_CHUNK])
+        outs.append(net.forward(x))
+        targets.append(y)
+    return np.concatenate(outs), np.concatenate(targets)
 
 
 def eval_channel(spec: ModelSpec, pv: ParamVec, samples: list) -> float:

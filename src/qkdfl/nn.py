@@ -4,9 +4,9 @@ Layers are stateful: forward() caches what backward() needs, so each layer
 instance belongs to exactly one position in one model.  Each cache dies at
 its last use, so a training step holds only what its remaining backward
 passes read, and one backward consumes one forward:
-    Conv2D            its rows (below), from forward until backward has formed
-                      dw and db, before the dx convolution; a forward first
-                      drops the rows of a forward that had no backward, as in
+    Conv2D            its input, from forward until backward has formed dw
+                      and db, before the dx convolution; a forward replaces
+                      the input of a forward that had no backward, as in
                       evaluation.  The input shape `_xshape` stays set.
     Activation        selu and softplus: the input; relu: only its x > 0
                       mask; from forward until backward.
@@ -18,16 +18,22 @@ Convolutions are stride-1 with same padding (odd kernels only), which keeps
 spatial dims equal between input and output at every scale.  A convolution
 is kh accumulated matmuls over the row offsets of one width-only buffer
 holding the kw column shifts side by side; no full im2col matrix is built.
-That buffer is one strided copy out of one zero-filled padded input, and
-a 1x1 kernel uses its input as its rows without any copy, so no layer may
-write into an input it was given.  Softplus is max(x, 0) + log1p(exp(-|x|)),
-evaluated in one output buffer; its derivative is the logistic
-1 / (1 + exp(-x)).  The batches are small, so the per-step
-layers and Adam keep to few numpy calls and reuse their buffers with
-`out=`, doing the same float operations in the same order.
+That buffer is one strided copy out of one padded input with a zeroed
+border.  Forward, the weight gradient and the input gradient each build it
+for one chunk of samples at a time (at most _ROWS_BYTES, one sample at
+least) in two per-thread buffers reused across chunks, layers and steps, so
+no rows outlive a chunk.  A 1x1 kernel uses its input as its rows without
+any copy, so no layer may write into an input it was given.  Softplus is
+max(x, 0) + log1p(exp(-|x|)), evaluated in one output buffer; its
+derivative is the logistic 1 / (1 + exp(-x)).  The batches are small, so
+the per-step layers and Adam keep to few numpy calls and reuse their
+buffers with `out=`, doing the same float operations in the same order.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
@@ -35,6 +41,16 @@ from .errors import LayerStateError
 
 SELU_ALPHA = 1.6732632423543772848170429916717
 SELU_SCALE = 1.0507009873554804934193349852946
+
+# A conv builds its rows at most this many bytes at a time (one sample at
+# least): about half of the reference host's 2 MiB per-core L2, so a chunk's
+# rows are still in cache when its kh matmuls read them, with room left for
+# the kernel and the chunk's output.
+_ROWS_BYTES = 1 << 20
+
+# Each thread's padded-input and rows buffers for `_rowcols`.
+_buffers = threading.local()
+_NO_BUFFER = np.empty(0, np.uint8)
 
 
 def truncated_normal_init(
@@ -56,26 +72,57 @@ def truncated_normal_init(
     return z.reshape(shape)
 
 
+def _thread_buffer(name: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """An uninitialised `shape` array over this thread's buffer `name`.
+
+    The buffer grows to the largest need and is reused after that, so the
+    array is valid only until the next call for `name` on the same thread.
+    """
+    nbytes = math.prod(shape) * dtype.itemsize
+    if getattr(_buffers, name, _NO_BUFFER).size < nbytes:
+        setattr(_buffers, name, None)  # free the old buffer before allocating the new one
+        setattr(_buffers, name, np.empty(nbytes, np.uint8))
+    return np.ndarray(shape, dtype, getattr(_buffers, name))
+
+
 def _rowcols(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Same-padded rows of NHWC `x` with the kw column shifts side by side.
 
     Returns an (n, h + 2 * (kh // 2), w, kw * c) array whose last axis is
     ordered (kw, c), matching row i of a (kh, kw, c, cout) kernel reshaped
     to (kh, kw * c, cout); rows i .. i + h - 1 are that row's operand.
-    For a 1x1 kernel that array is `x` itself.
+    The padded copy and the rows live in this thread's reused buffers, so
+    the rows are valid until the next call on the same thread.  For a 1x1
+    kernel the rows are `x` itself.
     """
     if kh == kw == 1:
         return x
     n, h, w, c = x.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), x.dtype)
+    xp = _thread_buffer("padded", (n, h + 2 * ph, w + 2 * pw, c), x.dtype)
+    # Only the border is zeroed: x overwrites the rest.
+    xp[:, :ph] = 0
+    xp[:, ph + h :] = 0
+    xp[:, ph : ph + h, :pw] = 0
+    xp[:, ph : ph + h, pw + w :] = 0
     xp[:, ph : ph + h, pw : pw + w] = x
     s0, s1, s2, s3 = xp.strides
     # shifts[..., j, k, :] is padded column j + k: the kw windows as one view.
     shifts = np.ndarray((n, h + 2 * ph, w, kw, c), xp.dtype, xp, 0, (s0, s1, s2, s2, s3))
-    rows = np.empty(shifts.shape, x.dtype)
+    rows = _thread_buffer("rows", shifts.shape, x.dtype)
     np.copyto(rows, shifts)
     return rows.reshape(n, h + 2 * ph, w, kw * c)
+
+
+def _chunks(x: np.ndarray, kh: int, kw: int):
+    """(start, stop, rows) over successive sample chunks of NHWC `x`, each
+    chunk's `_rowcols` rows at most _ROWS_BYTES and one sample at least.
+    A chunk's rows are valid until the next chunk is drawn."""
+    n, h, w, c = x.shape
+    per_sample = (h + kh - 1) * w * kw * c * x.itemsize
+    step = max(1, _ROWS_BYTES // max(per_sample, 1))
+    for start in range(0, n, step):
+        yield start, min(start + step, n), _rowcols(x[start : start + step], kh, kw)
 
 
 def _row_slices(rows: np.ndarray, h: int):
@@ -84,25 +131,46 @@ def _row_slices(rows: np.ndarray, h: int):
     return [rows[:, i : i + h].reshape(n, h * w, k) for i in range(hp - h + 1)]
 
 
-def _rowconv(rows: np.ndarray, wk: np.ndarray, h: int) -> np.ndarray:
+def _rowconv(rows: np.ndarray, wk: np.ndarray, h: int,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Same-padded convolution as kh accumulated matmuls, sum_i rows_i @ wk[i].
 
     `rows` comes from `_rowcols` and `wk` is the (kh, kw * c, cout) kernel;
-    returns (n, h * w, cout).
+    returns (n, h * w, cout), written into `out` when it is given.
     """
     ops = _row_slices(rows, h)
-    out = ops[0] @ wk[0]
+    out = np.matmul(ops[0], wk[0], out=out)
     tmp = np.empty_like(out)
     for op, wi in zip(ops[1:], wk[1:]):
         out += np.matmul(op, wi, out=tmp)
     return out
 
 
-def _weight_grad(rows: np.ndarray, dy3: np.ndarray, dwk: np.ndarray, h: int) -> None:
+def _conv(x: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """Same-padded convolution of NHWC `x` with the (kh, kw * c, cout) kernel
+    `wk`, its rows built a chunk of samples at a time; returns (n, h * w, cout)."""
+    n, h, w, c = x.shape
+    kh, kw = wk.shape[0], wk.shape[1] // c
+    out = np.empty((n, h * w, wk.shape[2]), np.result_type(x, wk))
+    for start, stop, rows in _chunks(x, kh, kw):
+        _rowconv(rows, wk, h, out[start:stop])
+    return out
+
+
+def _weight_grad(x: np.ndarray, dy3: np.ndarray, dwk: np.ndarray) -> None:
     """dwk[i] = sum over the batch of rows_i^T @ dy3, each row offset's
-    kernel-row gradient, written in place; no view of `rows` outlives it."""
-    for i, op in enumerate(_row_slices(rows, h)):
-        np.matmul(op.transpose(0, 2, 1), dy3).sum(axis=0, out=dwk[i])
+    kernel-row gradient, written in place, with the rows of NHWC `x` built a
+    chunk at a time.  Each sample's product is added in sample order, as one
+    whole-batch sum(axis=0) adds them, so the chunking moves no byte."""
+    kh, c = dwk.shape[0], x.shape[3]
+    for start, stop, rows in _chunks(x, kh, dwk.shape[1] // c):
+        for i, op in enumerate(_row_slices(rows, x.shape[1])):
+            prod = np.matmul(op.transpose(0, 2, 1), dy3[start:stop])
+            if start == 0:
+                prod.sum(axis=0, out=dwk[i])
+            else:
+                for p in prod:
+                    dwk[i] += p
 
 
 def _no_forward(layer: str) -> LayerStateError:
@@ -129,7 +197,7 @@ class Conv2D:
         self.b = np.zeros(cout)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._rows = None
+        self._x = None
         self._xshape = None
 
     def init_params(self, rng: np.random.Generator) -> None:
@@ -140,27 +208,26 @@ class Conv2D:
         n, h, w, cin = x.shape
         if cin != self.cin:
             raise ValueError(f"{self.name}: expected {self.cin} input channels, got {cin}")
-        self._rows = None  # free an unconsumed forward's rows before building these
-        self._rows = _rowcols(x, self.kh, self.kw)
+        self._x = x
         self._xshape = x.shape
-        out = _rowconv(self._rows, self.w.reshape(self.kh, -1, self.cout), h)
+        out = _conv(x, self.w.reshape(self.kh, -1, self.cout))
         out += self.b
         return out.reshape(n, h, w, self.cout)
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
-        if self._rows is None:
+        if self._x is None:
             raise _no_forward(self.name)
         n, h, w, cin = self._xshape
-        _weight_grad(self._rows, dy.reshape(n, h * w, self.cout),
-                     self.dw.reshape(self.kh, -1, self.cout), h)
-        self._rows = None  # their last use: dx reads only dy and w
+        _weight_grad(self._x, dy.reshape(n, h * w, self.cout),
+                     self.dw.reshape(self.kh, -1, self.cout))
+        self._x = None  # its last use: dx reads only dy and w
         self.db[...] = dy.reshape(-1, self.cout).sum(axis=0)
         if not self.input_grad:
             return None
         # For a stride-1 same-padded odd kernel, dx is the same convolution of
         # dy with the kernel rotated 180 degrees and its channel axes swapped.
         w_t = self.w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(self.kh, -1, cin)
-        return _rowconv(_rowcols(dy, self.kh, self.kw), w_t, h).reshape(n, h, w, cin)
+        return _conv(dy, w_t).reshape(n, h, w, cin)
 
 
 class Activation:

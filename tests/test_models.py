@@ -20,6 +20,7 @@ from qkdfl.models import (
     set_params,
 )
 from qkdfl.nn import (
+    _ROWS_BYTES,
     SELU_ALPHA,
     SELU_SCALE,
     Activation,
@@ -373,14 +374,20 @@ class TestLayersMatchOracleBytes:
     @settings(max_examples=60, deadline=None)
     @given(k=st.sampled_from([(1, 1), (3, 3), (5, 3), (9, 9)]), n=st.integers(1, 3),
            h=st.integers(1, 7), w=st.integers(1, 7), cin=st.integers(1, 3),
-           cout=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    @example(k=(9, 9), n=1, h=1, w=2, cin=1, cout=1, seed=0)
-    @example(k=(5, 3), n=2, h=2, w=1, cin=2, cout=3, seed=1)
-    @example(k=(1, 1), n=4, h=2, w=2, cin=3, cout=2, seed=2)
-    def test_conv(self, k, n, h, w, cin, cout, seed):
+           cout=st.integers(1, 3), input_grad=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(k=(9, 9), n=1, h=1, w=2, cin=1, cout=1, input_grad=True, seed=0)
+    @example(k=(5, 3), n=2, h=2, w=1, cin=2, cout=3, input_grad=True, seed=1)
+    @example(k=(1, 1), n=4, h=2, w=2, cin=3, cout=2, input_grad=True, seed=2)
+    # 349 KB of rows a sample, so chunks of 3 + 2 samples forward and for dW;
+    # dx lowers dy's 8 channels, 233 KB a sample, in chunks of 4 + 1.
+    @example(k=(5, 5), n=5, h=48, w=14, cin=12, cout=8, input_grad=True, seed=3)
+    @example(k=(5, 5), n=5, h=48, w=14, cin=12, cout=8, input_grad=False, seed=4)
+    # One sample's rows (1.44 MB forward, 1.08 MB for dx) exceed _ROWS_BYTES.
+    @example(k=(9, 9), n=2, h=96, w=48, cin=4, cout=3, input_grad=True, seed=5)
+    def test_conv(self, k, n, h, w, cin, cout, input_grad, seed):
         kh, kw = k
         rng = np.random.default_rng(seed)
-        conv = Conv2D("c", kh, kw, cin, cout)
+        conv = Conv2D("c", kh, kw, cin, cout, input_grad=input_grad)
         conv.w[...] = rng.standard_normal(conv.w.shape)
         conv.b[...] = rng.standard_normal(cout)
         x = rng.standard_normal((n, h, w, cin))
@@ -388,8 +395,17 @@ class TestLayersMatchOracleBytes:
         out, dw, db, dx = conv_oracle(conv, x, dy)
         assert same_bytes(_rowcols(x, kh, kw), rowcols_oracle(x, kh, kw))
         assert same_bytes(conv.forward(x), out)
-        assert same_bytes(conv.backward(dy), dx)
+        got_dx = conv.backward(dy)
+        assert same_bytes(got_dx, dx) if input_grad else got_dx is None
         assert same_bytes(conv.dw, dw) and same_bytes(conv.db, db)
+
+    def test_rowcols_rezeroes_the_border_of_a_reused_buffer(self):
+        # A wide NaN input fills both buffers; the smaller rows built after
+        # it must read zeros, not NaN, wherever they reach into the padding.
+        _rowcols(np.full((2, 9, 9, 3), np.nan), 9, 9)
+        x = np.random.default_rng(8).standard_normal((2, 5, 4, 3))
+        for kh, kw in ((3, 3), (5, 1), (1, 3)):
+            assert same_bytes(_rowcols(x, kh, kw), rowcols_oracle(x, kh, kw))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 3), h2=st.integers(1, 4), w2=st.integers(1, 4),
@@ -636,32 +652,58 @@ class TestLayerState:
 
 
 class TestStepMemory:
-    def test_channel_step_frees_caches_within_forward_bound(self):
-        spec = ModelSpec(task="channel", init_seed=2)
+    """A training step holds each conv's input, not its rows, from forward to
+    backward, and builds the rows one chunk of samples at a time."""
+
+    @staticmethod
+    def _peak_and_bound(task, n, h, w):
+        spec = ModelSpec(task=task, init_seed=2)
         net = build_model(spec)
         set_params(net, init_params(spec))
         rng = np.random.default_rng(6)
-        n, h, w = 16, 48, 14  # one batch of the shipped exp_a_channel config
-        x = np.abs(rng.standard_normal((n, h, w, 1)))
-        y = np.abs(rng.standard_normal((n, h, w, 1)))
+        x = np.abs(rng.standard_normal((n, h, w, net.convs[0].cin)))
+        if task == "channel":
+            y = np.abs(rng.standard_normal((n, h, w, 1)))
+        else:
+            y = rng.integers(0, net.convs[-1].cout, (n, h, w))
         tracemalloc.start()
         try:
             net.loss_and_grads(x, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The forward keeps each conv's rows and each activation's input for
-        # the backward, and beside them at most one conv's input and its
-        # zero-padded copy while that conv cuts its rows.  A backward that
-        # frees each cache at its last use never holds more than that.
-        kept = transient = 0
+        # The step holds each conv's input and output.  Beside them are the
+        # two reused buffers, at most one chunk's rows and padded copy each,
+        # and one more array no larger than the largest conv input or output:
+        # an activation's max(x, 0) term or a conv's product buffer.
+        kept = largest = rows = padded = 0
         for conv in net.convs:
-            hp, wp = h + conv.kh - 1, w + conv.kw - 1
-            kept += 8 * n * (hp * w * conv.kw * conv.cin + h * w * conv.cout)
-            transient = max(transient, 8 * n * (h * w + hp * wp) * conv.cin)
-        assert peak <= kept + transient
-        assert all(conv._rows is None for conv in net.convs)
+            m, hc, wc, cin = conv._xshape
+            hp, wp = hc + conv.kh - 1, wc + conv.kw - 1
+            x_bytes, y_bytes = 8 * m * hc * wc * cin, 8 * m * hc * wc * conv.cout
+            kept += x_bytes + y_bytes
+            largest = max(largest, x_bytes, y_bytes)
+            # Rows of x forward and for dW, and rows of dy for dx; a 1x1
+            # kernel's rows are its input, with no buffer.
+            for c in (cin, conv.cout) if conv.kh * conv.kw > 1 else ():
+                chunk = min(m, max(1, _ROWS_BYTES // (8 * hp * wc * conv.kw * c)))
+                rows = max(rows, 8 * chunk * hp * wc * conv.kw * c)
+                padded = max(padded, 8 * chunk * hp * wp * c)
+        return net, peak, kept + rows + padded + largest
+
+    def test_channel_step_frees_caches_within_forward_bound(self):
+        # One batch of the shipped exp_a_channel config.
+        net, peak, bound = self._peak_and_bound("channel", 16, 48, 14)
+        assert peak <= bound
+        assert all(conv._x is None for conv in net.convs)
         assert all(act._saved is None for act in net.acts)
+
+    def test_segnet_step_frees_caches_within_forward_bound(self):
+        # One batch of the shipped exp_a_radar config.
+        net, peak, bound = self._peak_and_bound("radar", 4, 32, 32)
+        assert peak <= bound
+        assert all(conv._x is None for conv in net.convs)
+        assert all(relu._saved is None for relu in net.relus)
 
 
 class TestParamsRoundTrip:
