@@ -102,15 +102,19 @@ def _read(path: Path, missing: str) -> bytes:
         raise ConfigError(f"{path}: cannot be read ({exc.strerror})") from None
 
 
-def _json_object(data: bytes, where: str) -> dict:
-    """`data` as a JSON object; else a ConfigError that names `where`."""
+def _json(data: bytes, where: str):
+    """`data` parsed as JSON; else a ConfigError that names `where`."""
     try:
-        obj = json.loads(data)
+        return json.loads(data)
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"{where}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
+
+
+def _json_object(value, where: str) -> dict:
+    """`value` if it is a JSON object; else a ConfigError that names `where`."""
+    if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected a JSON object")
-    return obj
+    return value
 
 
 # Each JSON scalar kind: its test (a bool is never a number) and its name.
@@ -174,8 +178,7 @@ def _typed_record(cls, raw, where: str, fmt: str, **extra) -> dict:
     def fail(field: str, msg: str):
         raise ConfigError(fmt.format(where=where, field=field, msg=msg))
 
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
+    _json_object(raw, where)
     kinds = _field_kinds(cls) | extra
     for key in raw:
         if key not in kinds:
@@ -228,7 +231,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         path = Path(path)
-        raw = _json_object(_read(path, f"{path}: no such config file"), str(path))
+        raw = _json(_read(path, f"{path}: no such config file"), str(path))
         return cls.from_dict(raw, source=str(path))
 
     def _validate(self, source: str) -> None:
@@ -346,7 +349,7 @@ def _cells(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def _run_cell(args) -> dict[str, list[dict]]:
-    """Run one cell with `trainers` concurrent client trainers; returns its
+    """Run one cell with `trainers` client-training processes; returns its
     rows keyed by output file name."""
     cfg, cell, trainers = args
     head = {"schema_version": SCHEMA_VERSION, "config_hash": cfg.config_hash()}
@@ -430,9 +433,10 @@ def run_cells(cfg: ExperimentConfig) -> dict[str, list[dict]]:
     file's rows, concatenated in cell order, keyed by file name.
 
     The cells run over W = min(cells, usable cores) worker processes, or in
-    this process when W is 1, and each trains a round's clients on
-    cores // W threads, so processes times threads never exceed the usable
-    cores.  Neither number changes an output byte.
+    this process when W is 1, and each trains a round's clients in
+    cores // W processes (itself and forked children), so no more
+    processes train at once than there are usable cores.  Neither number
+    changes an output byte.
     """
     cell_list = _cells(cfg)
     cores = usable_cores()
@@ -565,10 +569,8 @@ def report_leakage(run_dir, out_dir=None) -> list[dict]:
     run = Path(run_dir)
     out = _check_out_dir(out_dir) if out_dir else run
     manifest_path = run / "manifest.json"
-    manifest = _json_object(
-        _read(manifest_path, f"{run}: not a run directory (missing manifest.json)"),
-        str(manifest_path),
-    )
+    raw = _read(manifest_path, f"{run}: not a run directory (missing manifest.json)")
+    manifest = _json_object(_json(raw, str(manifest_path)), str(manifest_path))
     if not isinstance(manifest.get("files"), list):
         raise ConfigError(f"{manifest_path}: files must be a JSON list")
     if not isinstance(manifest.get("config_hash"), str):
@@ -586,7 +588,7 @@ def report_leakage(run_dir, out_dir=None) -> list[dict]:
             continue
         where = f"{rounds_path}:{lineno}"
         d = _typed_record(
-            RoundReport, _json_object(line, where), where, "{where}: {field} {msg}",
+            RoundReport, _json(line, where), where, "{where}: {field} {msg}",
             cell=dict[str, str | int | float | bool | None], config_hash=str,
         )
         if d["config_hash"] != manifest["config_hash"]:

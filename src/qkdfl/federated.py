@@ -23,23 +23,29 @@ All per-round and per-client randomness is derived from one master seed
 through the labeled paths of `seeds`, so runs are reproducible and the
 two masked modes train identically to plain given the same master seed.
 
-A round's K local trainings are independent, so they run concurrently: the
-calling thread trains clients, and so do `trainers - 1` helper threads
-(`trainers` defaults to the cores this process may run on).  All of them
-take clients from one queue, largest shard first, and store each update
-under its client index; every client trains on its own model and its own
-seeded shuffle, so the round is byte-identical to training the clients
-one after another.  numpy releases the interpreter lock inside its matmul
-and ufunc loops, which is where the trainers overlap.  Masking,
-aggregation, leakage and evaluation stay on the calling thread.
+A round's K local trainings are independent, so they run concurrently in
+`min(trainers, K)` processes (`trainers` defaults to the cores this
+process may run on).  The clients are dealt largest shard first, each to
+the group with the fewest samples so far; the calling process trains the
+first group, and one forked child per further group trains its own and
+pipes back each client's update, or the exception it raised.  Processes,
+unlike threads, do not contend for the interpreter lock.  Every client
+trains on its own model and its own seeded shuffle, so the round is
+byte-identical to training the clients one after another.  Key agreement,
+masking, aggregation, leakage and evaluation stay in the calling process.
+A fork copies only the calling thread, so a process with another Python
+thread alive, or a platform other than Linux, trains every client in the
+calling process.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import math
 import os
+import pickle
+import signal
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -47,7 +53,7 @@ import numpy as np
 
 from . import params as pvops, seeds
 from .datasets import ChannelSample, RadarSample
-from .errors import UndefinedProxyError
+from .errors import TrainerExitError, UndefinedProxyError
 from .masking import (
     DEFAULT_MASK_SCALE,
     KEY_BITS,
@@ -156,61 +162,121 @@ def _round_seed_bits(cfg: RoundConfig, session_key: np.ndarray | None) -> np.nda
     return prg.integers(0, 2, size=KEY_BITS, dtype=np.uint8)
 
 
+def _deal(shards: list[list], groups: int) -> list[list[int]]:
+    """Client indices in `groups` groups: largest shard first, each client
+    to the group with the fewest samples so far (the lower index on a tie)."""
+    dealt: list[list[int]] = [[] for _ in range(groups)]
+    loads = [0] * groups
+    for k in sorted(range(len(shards)), key=lambda k: -len(shards[k])):
+        g = loads.index(min(loads))
+        dealt[g].append(k)
+        loads[g] += len(shards[k])
+    return dealt
+
+
+def _train_group(
+    global_params: ParamVec, shards: list[list], cfg: RoundConfig, group: list[int]
+) -> list[tuple[int, ParamVec | Exception]]:
+    """(client, update or the exception it raised) for each client of `group`."""
+    results = []
+    for k in group:
+        try:
+            # train_local is looked up at call time, so a wrapper installed
+            # on this module's name sees every client of this process.
+            results.append((k, train_local(
+                cfg.model,
+                global_params,
+                shards[k],
+                cfg.epochs,
+                cfg.learning_rate,
+                cfg.batch_size,
+                seed=derive_seed(cfg.master_seed, cfg.round_index, seeds.TRAIN, k),
+            )))
+        except Exception as exc:  # re-raised by the calling process
+            results.append((k, exc))
+    return results
+
+
+def _fork_trainer(
+    global_params: ParamVec, shards: list[list], cfg: RoundConfig, group: list[int],
+    children: list[tuple[int, int, list[int]]],
+) -> None:
+    """Fork a child that trains `group` and pickles its results into a pipe;
+    append (pid, read end, group) to `children`.  The child never returns:
+    it leaves by os._exit, 0 once its results are written."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in [read_end, *(fd for _, fd, _ in children)]:
+                os.close(fd)
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(_train_group(global_params, shards, cfg, group), pipe,
+                            pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    children.append((pid, read_end, group))
+    os.close(write_end)
+
+
+def _reap(children: list[tuple[int, int, list[int]]], kill: bool) -> list[int]:
+    """Close each child's read end, SIGKILL it if `kill`, and wait for it;
+    the exit codes."""
+    for _, fd, _ in children:
+        os.close(fd)
+    if kill:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+    return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _, _ in children]
+
+
 def _train_clients(
     global_params: ParamVec, shards: list[list], cfg: RoundConfig, trainers: int
 ) -> list[ParamVec]:
     """Every client's local update, in client order.
 
-    The calling thread and `min(trainers, K) - 1` helper threads take
-    clients from one queue, largest shard first.  If clients fail, the
-    exception of the lowest-index failing client is raised, as the serial
-    loop would raise it, and no helper thread outlives the call.
+    The clients are dealt to `min(trainers, K)` groups (one group where
+    this process may not fork, see the module docstring).  This process
+    trains the first group and a forked child trains each other one.  If
+    clients fail, the exception of the lowest-index failing client is
+    raised, as the serial loop would raise it.  A child that exits without
+    its results is a TrainerExitError naming its clients.  No child
+    outlives the call: on any failure here, an interrupt included, the
+    children are killed and reaped.
     """
     if trainers < 1:
         raise ValueError(f"trainers must be >= 1, got {trainers}")
-    updates: list[ParamVec | None] = [None] * cfg.num_clients
-    failures: list[Exception | None] = [None] * cfg.num_clients
-    pending = collections.deque(
-        sorted(range(cfg.num_clients), key=lambda k: -len(shards[k]))
-    )
-
-    def work() -> None:
-        # Each client's slots are written by the one thread that took it.
-        while True:
-            try:
-                k = pending.popleft()
-            except IndexError:
-                return
-            try:
-                # train_local is looked up at call time, so a wrapper installed
-                # on this module's name sees every client.
-                updates[k] = train_local(
-                    cfg.model,
-                    global_params,
-                    shards[k],
-                    cfg.epochs,
-                    cfg.learning_rate,
-                    cfg.batch_size,
-                    seed=derive_seed(cfg.master_seed, cfg.round_index, seeds.TRAIN, k),
-                )
-            except Exception as exc:  # re-raised by the caller below
-                failures[k] = exc
-
-    helpers = [
-        threading.Thread(target=work, name=f"qkdfl-trainer-{i}", daemon=True)
-        for i in range(min(trainers, cfg.num_clients) - 1)
-    ]
-    for t in helpers:
-        t.start()
+    may_fork = sys.platform == "linux" and threading.active_count() == 1
+    groups = _deal(shards, min(trainers, cfg.num_clients) if may_fork else 1)
+    children: list[tuple[int, int, list[int]]] = []
     try:
-        work()
-    finally:
-        pending.clear()  # on an interrupt, helpers stop after their client
-        for t in helpers:
-            t.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
+        for group in groups[1:]:
+            _fork_trainer(global_params, shards, cfg, group, children)
+        results = _train_group(global_params, shards, cfg, groups[0])
+        payloads = [open(fd, "rb", closefd=False).read() for _, fd, _ in children]
+    except BaseException:
+        _reap(children, kill=True)
+        raise
+    for (_, _, group), code in zip(children, _reap(children, kill=False)):
+        if code != 0:
+            raise TrainerExitError(
+                f"the trainer process of clients {group} exited with code {code} "
+                "without their updates"
+            )
+    for payload in payloads:
+        results += pickle.loads(payload)
+    by_client = dict(results)
+    updates = [by_client[k] for k in range(cfg.num_clients)]
+    for out in updates:
+        if isinstance(out, Exception):
+            raise out
     return updates
 
 
@@ -265,9 +331,9 @@ def run_round(
 ) -> tuple[ParamVec, RoundReport]:
     """Execute one federated round; returns (new global params, report).
 
-    `trainers` bounds how many clients train at once (the calling thread
-    plus `trainers - 1` helpers); None means `usable_cores()`.  It changes
-    no output byte.
+    `trainers` bounds how many processes train clients at once (the
+    calling process and up to `trainers - 1` forked children); None means
+    `usable_cores()`.  It changes no output byte.
     """
     if len(shards) != cfg.num_clients:
         raise ValueError(

@@ -222,8 +222,9 @@ def aggregate(masked: list[MaskedUpdate]) -> ParamVec:
     Pair masks cancel only in the sum of all K uploads of one context, and
     there is no dropout recovery, so a batch from more than one context, or
     not exactly its clients 0..K-1, is a ProtocolError rather than a
-    silently wrong mean.  A mean that is not finite (gamma so large that a
-    mask or the running sum overflows) is a DivergenceError.
+    silently wrong mean.  Uploads of two layouts are an
+    AggregationShapeError, and a mean that is not finite (gamma so large
+    that a mask or the running sum overflows) is a DivergenceError.
     """
     if len(masked) < 2:
         raise AggregationShapeError("aggregation needs at least two masked updates")
@@ -240,16 +241,13 @@ def aggregate(masked: list[MaskedUpdate]) -> ParamVec:
             f"aggregation needs clients 0..{k - 1} of K = {k}, got {clients}: "
             "the unmatched pair masks would stay in the mean"
         )
-    first = masked[0].params
-    for m in masked[1:]:
-        if not first.same_structure(m.params):
-            raise AggregationShapeError(
-                f"update from client {m.client_index} does not match the batch structure"
-            )
     # Canonical summation order makes the result independent of list order.
     ordered = sorted(masked, key=lambda m: m.client_index)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        mean = pvops.mean([m.params for m in ordered])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            mean = pvops.mean([m.params for m in ordered])
+    except ValueError as exc:  # pvops.mean found two layouts
+        raise AggregationShapeError(str(exc)) from None
     if not mean.all_finite():
         raise DivergenceError(
             f"the mean of the K = {k} masked uploads is not finite: an upload or "

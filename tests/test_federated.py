@@ -1,5 +1,7 @@
-import sys
+import os
+import signal
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import qkdfl.params as pvops
 from qkdfl import federated
 from qkdfl.datasets import gen_channel_dataset, gen_radar_dataset
-from qkdfl.errors import DivergenceError
+from qkdfl.errors import DivergenceError, TrainerExitError
 from qkdfl.federated import (
     MODES,
     STATUS_ABORTED,
@@ -309,25 +311,72 @@ def uneven_setup(task, num_clients):
     return shards, val
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls so far, as a one-element list."""
+    count, fork = [0], os.fork
+
+    def counting_fork():
+        count[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return count
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs for more than 60 s instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran for 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestConcurrentClients:
-    """A round's clients train on several threads with the serial loop's output."""
+    """A round's clients train in forked processes with the serial loop's output."""
 
     @pytest.mark.parametrize("task,num_clients", [("channel", 3), ("channel", 10), ("radar", 3)])
-    def test_threaded_round_matches_serial(self, task, num_clients):
+    def test_forked_round_matches_serial(self, forks, task, num_clients):
         spec = ModelSpec(task=task, init_seed=0)
         shards, val = uneven_setup(task, num_clients)
         cfg = make_cfg("qkd_sa", num_clients=num_clients, model=spec, batch_size=4)
         pv = init_params(spec)
         serial, serial_report = run_round(pv, shards, cfg, val, trainers=1)
-        # More trainers than clients or cores, and a short switch interval,
-        # so the threads interleave as often as the interpreter allows.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threaded, threaded_report = run_round(pv, shards, cfg, val, trainers=num_clients + 2)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded.layout == serial.layout
+        assert forks == [0]
+        # More trainers than clients: one process per client.
+        forked, forked_report = run_round(pv, shards, cfg, val, trainers=num_clients + 2)
+        assert forks == [num_clients - 1]
+        assert forked.layout == serial.layout
+        assert forked.buf.tobytes() == serial.buf.tobytes()
+        assert forked_report == serial_report
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("task", ["channel", "radar"])
+    def test_round_on_a_second_thread_forks_nothing(self, forks, task):
+        spec = ModelSpec(task=task, init_seed=0)
+        shards, val = uneven_setup(task, 3)
+        cfg = make_cfg("qkd_sa", model=spec, batch_size=4)
+        pv = init_params(spec)
+        serial, serial_report = run_round(pv, shards, cfg, val, trainers=1)
+        out = []
+        worker = threading.Thread(
+            target=lambda: out.append(run_round(pv, shards, cfg, val, trainers=5))
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert forks == [0]
+        (threaded, threaded_report), = out
         assert threaded.buf.tobytes() == serial.buf.tobytes()
         assert threaded_report == serial_report
 
@@ -343,12 +392,24 @@ class TestConcurrentClients:
         with pytest.raises(ValueError, match="trainers"):
             run_round(init_params(CHANNEL_SPEC), shards, make_cfg("plain"), trainers=0)
 
+    @pytest.mark.parametrize(
+        "sizes,groups,dealt",
+        [
+            ([5, 1, 3, 3, 2], 2, [[0, 4], [2, 3, 1]]),
+            ([2, 2, 2], 3, [[0], [1], [2]]),
+            ([1, 4, 1, 1], 2, [[1], [0, 2, 3]]),
+            ([3, 3], 1, [[0, 1]]),
+        ],
+    )
+    def test_largest_shard_to_least_loaded_group(self, sizes, groups, dealt):
+        assert federated._deal([[None] * n for n in sizes], groups) == dealt
+
     @staticmethod
     def failing_round(monkeypatch, trainers):
         """A 6-client round in which clients 2 and 4 diverge.
 
-        Client 4 has the largest shard, so a trainer takes it first and its
-        failure is known before client 2's.
+        Client 4 has the largest shard, so the calling process trains it
+        first, and with two trainers client 2 fails in the forked child.
         """
         train = gen_channel_dataset(18, snr_db=10.0, dims=(16, 14), seed=0)
         shards = [train[0:2], train[2:4], train[4:6], train[6:8], train[8:16], train[16:18]]
@@ -369,12 +430,56 @@ class TestConcurrentClients:
         with pytest.raises(DivergenceError, match="client 2"):
             self.failing_round(monkeypatch, trainers)()
 
-    def test_no_thread_left_after_failure(self, monkeypatch):
-        baseline = threading.active_count()
+    def test_no_child_left_after_failure(self, monkeypatch, forks):
         with pytest.raises(DivergenceError):
             self.failing_round(monkeypatch, 6)()
-        assert threading.active_count() == baseline
-        assert not [t for t in threading.enumerate() if t.name.startswith("qkdfl-trainer")]
+        assert forks == [5]
+        assert_no_child_left()
+
+    def test_child_exit_without_result_named(self, monkeypatch, deadline):
+        train = gen_channel_dataset(4, snr_db=10.0, dims=(16, 14), seed=0)
+        shards = [train[0:2], train[2:4]]  # a tie: client 1 trains in the child
+        caller, real = os.getpid(), federated.train_local
+
+        def train_local(spec, pv, shard, *args, **kwargs):
+            if shard is shards[1]:
+                assert os.getpid() != caller, "client 1 was to train in a child"
+                os._exit(3)
+            return real(spec, pv, shard, *args, **kwargs)
+
+        monkeypatch.setattr(federated, "train_local", train_local)
+        with pytest.raises(TrainerExitError, match=r"clients \[1\] exited with code 3"):
+            run_round(init_params(CHANNEL_SPEC), shards, make_cfg("plain", num_clients=2),
+                      trainers=2)
+        assert_no_child_left()
+
+    def test_interrupt_kills_a_child_blocked_on_a_full_pipe(self, monkeypatch, deadline):
+        """The caller is interrupted while a child blocks writing a radar-size
+        update, more than a pipe holds: the child is killed and reaped."""
+        spec = ModelSpec(task="radar", init_seed=0)
+        shards, _ = uneven_setup("radar", 2)
+        update = init_params(spec)
+        assert update.nbytes_serialized > 64 * 1024
+        caller = os.getpid()
+        trained, signal_trained = os.pipe()
+
+        def train_local(*args, **kwargs):
+            if os.getpid() == caller:
+                os.read(trained, 1)  # the child has its update
+                time.sleep(0.2)  # and is now blocked writing it
+                raise KeyboardInterrupt
+            os.write(signal_trained, b"x")
+            return update
+
+        monkeypatch.setattr(federated, "train_local", train_local)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_round(update, shards, make_cfg("plain", num_clients=2, model=spec),
+                          trainers=2)
+        finally:
+            os.close(trained)
+            os.close(signal_trained)
+        assert_no_child_left()
 
 
 class TestRoundMemory:
