@@ -30,7 +30,8 @@ class DivergenceError(QkdflError):
 
 
 class TrainerExitError(QkdflError):
-    """A forked client trainer exited without sending its clients' updates."""
+    """A forked worker (a client trainer or a keystream expander) exited
+    without sending its results."""
 
 
 class LayerStateError(QkdflError):

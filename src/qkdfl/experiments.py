@@ -48,8 +48,8 @@ from .federated import (
     RoundReport,
     partition_non_iid,
     run_training,
-    usable_cores,
 )
+from .forks import usable_cores
 from .models import ModelSpec, TASK_CHANNEL, TASK_RADAR, init_params
 from .qkd import BB84Config, run_bb84
 from .seeds import derive_seed

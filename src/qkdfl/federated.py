@@ -27,33 +27,33 @@ A round's K local trainings are independent, so they run concurrently in
 `min(trainers, K)` processes (`trainers` defaults to the cores this
 process may run on).  The clients are dealt largest shard first, each to
 the group with the fewest samples so far; the calling process trains the
-first group, and one forked child per further group trains its own and
-pipes back each client's update, or the exception it raised.  Processes,
-unlike threads, do not contend for the interpreter lock.  Every client
-trains on its own model and its own seeded shuffle, so the round is
-byte-identical to training the clients one after another.  Key agreement,
-masking, aggregation, leakage and evaluation stay in the calling process.
-A fork copies only the calling thread, so a process with another Python
-thread alive, or a platform other than Linux, trains every client in the
-calling process.
+first group, and one forked child per further group (`forks.fan_out`)
+trains its own and pipes back each client's update, or the exception it
+raised.  Processes, unlike threads, do not contend for the interpreter
+lock.  Every client trains on its own model and its own seeded shuffle, so
+the round is byte-identical to training the clients one after another.
+The same `trainers` budget goes to the masking pass: one whose pair
+keystreams would hash at least `masking._PARALLEL_MIN_BLOCKS` SHA-256
+blocks expands them in up to that many processes, forked the same way;
+the shipped models' rounds stay below it and mask in the calling process.
+Key agreement, aggregation, leakage and evaluation stay in the calling
+process.  A fork copies only the calling thread, so a process with another
+Python thread alive, or a platform other than Linux, trains and masks
+every client in the calling process.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import pickle
-import signal
-import sys
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import params as pvops, seeds
 from .datasets import ChannelSample, RadarSample
-from .errors import TrainerExitError, UndefinedProxyError
+from .errors import UndefinedProxyError
+from .forks import fan_out, may_fork, usable_cores
 from .masking import (
     DEFAULT_MASK_SCALE,
     KEY_BITS,
@@ -74,15 +74,6 @@ MASKED_MODES = ("classical_sa", "qkd_sa")
 
 STATUS_SECURE = "SECURE"
 STATUS_ABORTED = "ABORTED"
-
-
-def usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
-    reports one (a `taskset` or cpuset narrows it), else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -197,46 +188,6 @@ def _train_group(
     return results
 
 
-def _fork_trainer(
-    global_params: ParamVec, shards: list[list], cfg: RoundConfig, group: list[int],
-    children: list[tuple[int, int, list[int]]],
-) -> None:
-    """Fork a child that trains `group` and pickles its results into a pipe;
-    append (pid, read end, group) to `children`.  The child never returns:
-    it leaves by os._exit, 0 once its results are written."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            for fd in [read_end, *(fd for _, fd, _ in children)]:
-                os.close(fd)
-            with os.fdopen(write_end, "wb") as pipe:
-                pickle.dump(_train_group(global_params, shards, cfg, group), pipe,
-                            pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    children.append((pid, read_end, group))
-    os.close(write_end)
-
-
-def _reap(children: list[tuple[int, int, list[int]]], kill: bool) -> list[int]:
-    """Close each child's read end, SIGKILL it if `kill`, and wait for it;
-    the exit codes."""
-    for _, fd, _ in children:
-        os.close(fd)
-    if kill:
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-    return [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _, _ in children]
-
-
 def _train_clients(
     global_params: ParamVec, shards: list[list], cfg: RoundConfig, trainers: int
 ) -> list[ParamVec]:
@@ -253,26 +204,13 @@ def _train_clients(
     """
     if trainers < 1:
         raise ValueError(f"trainers must be >= 1, got {trainers}")
-    may_fork = sys.platform == "linux" and threading.active_count() == 1
-    groups = _deal(shards, min(trainers, cfg.num_clients) if may_fork else 1)
-    children: list[tuple[int, int, list[int]]] = []
-    try:
-        for group in groups[1:]:
-            _fork_trainer(global_params, shards, cfg, group, children)
-        results = _train_group(global_params, shards, cfg, groups[0])
-        payloads = [open(fd, "rb", closefd=False).read() for _, fd, _ in children]
-    except BaseException:
-        _reap(children, kill=True)
-        raise
-    for (_, _, group), code in zip(children, _reap(children, kill=False)):
-        if code != 0:
-            raise TrainerExitError(
-                f"the trainer process of clients {group} exited with code {code} "
-                "without their updates"
-            )
-    for payload in payloads:
-        results += pickle.loads(payload)
-    by_client = dict(results)
+    groups = _deal(shards, min(trainers, cfg.num_clients) if may_fork() else 1)
+    results = fan_out(
+        lambda group: _train_group(global_params, shards, cfg, group),
+        groups,
+        "trainer process of clients",
+    )
+    by_client = {k: out for group in results for k, out in group}
     updates = [by_client[k] for k in range(cfg.num_clients)]
     for out in updates:
         if isinstance(out, Exception):
@@ -300,7 +238,8 @@ def _secure_round(
             mask_scale=cfg.mask_scale,
         )
         masked = [
-            apply_pairwise_masks(updates[k], k, ctx) for k in range(cfg.num_clients)
+            apply_pairwise_masks(updates[k], k, ctx, trainers)
+            for k in range(cfg.num_clients)
         ]
         uploads = [m.params for m in masked]
         new_global = aggregate(masked)
@@ -331,9 +270,10 @@ def run_round(
 ) -> tuple[ParamVec, RoundReport]:
     """Execute one federated round; returns (new global params, report).
 
-    `trainers` bounds how many processes train clients at once (the
-    calling process and up to `trainers - 1` forked children); None means
-    `usable_cores()`.  It changes no output byte.
+    `trainers` bounds how many processes train clients, or expand a large
+    masking pass's keystreams, at once (the calling process and up to
+    `trainers - 1` forked children); None means `usable_cores()`.  It
+    changes no output byte.
     """
     if len(shards) != cfg.num_clients:
         raise ValueError(

@@ -36,22 +36,37 @@ never rounds to zero, so only gamma = +/-0.0 gives -0.0 products, and
 there +0.0 is added, as a running sum of the masks would give.  The sum
 fills one flat buffer, so aggregation and leakage are flat operations.
 
-Each pair's keystream is expanded once per round.  The first end of a pair
-to mask expands every tensor's stream from the pair key into one flat
-buffer and parks it, packed, in the round's MaskingContext.streams; the
-other end pops and unpacks it instead of hashing.  This cache is a
-simulation shortcut: it spares the second end an expansion it could do
-from its own copy of the key.  A stream is dropped on its second use, so a
-context holds at most about (K/2)^2 pairs' packed streams mid-round (one
-bit per parameter each: 100 x 121 KB for K = 20 and 969,380 parameters)
-and none once all K clients have masked.
+Each pair's keystream is expanded once per round and parked, packed, in
+the round's MaskingContext.streams with the uses it has left.  On the
+serial path the first end of a pair to mask expands every tensor's stream
+from the pair key into one flat buffer and parks it with one use left; the
+other end pops and unpacks it instead of hashing.  A pass whose K(K - 1)/2
+pairs would hash at least _PARALLEL_MIN_BLOCKS SHA-256 blocks takes the
+parallel path (apply_pairwise_masks): the first client that needs an
+unparked stream expands every unparked pair's stream at once, dealt
+round-robin to the calling process and up to `processes - 1` forked
+children (forks.fan_out), which pipe theirs back packed, and parks each
+with two uses left.  The streams are deterministic per pair, so both paths
+give the same bytes.  The cache is a simulation shortcut: it spares an end
+an expansion it could do from its own copy of the key.  A stream is
+dropped at its last use, so a context holds at most ceil(K/2) * floor(K/2)
+pairs' packed streams on the serial path (one bit per parameter each:
+100 x 121 KB for K = 20 and 969,380 parameters), all K(K - 1)/2 at the
+start of a parallel pass (190 x 121 KB, 23 MB), and none once all K
+clients have masked.
 
 Where a masked upload's time goes: the SHA-256 counter blocks, one per 256
 mask bits of each pair.  A K = 20 cohort of 969,380-parameter uploads
-hashes 720,860 blocks at about 0.4 us each, two OpenSSL context copies per
-block through hashlib, which is about 60% of the cohort's time.  The rest
-is numpy passes: per peer, one add into the count and the fill and pack or
-the unpack of its stream; per client, the scaling multiply, the float64
+hashes 720,670 blocks at about 0.4 us each, two OpenSSL context copies per
+block through hashlib (every other hashlib form timed was slower): about
+285 ms of a ~490 ms cohort on one core.  That pass is far past the
+threshold, while a K = 10 radar round's (11,115 blocks) and a K = 20
+channel round's (3,420) stay serial.  On 2 vCPUs the caller hashes half
+the pairs while one child hashes the other half (190-270 ms, as the second
+vCPU's load varies), then reads back the child's 11.5 MB of packed streams
+(12-17 ms) and unpickles them (7-8 ms).  The rest is numpy passes: per
+peer, one add into the count and the unpack of its stream (or the fill and
+pack of a serial first end); per client, the scaling multiply, the float64
 upload and its finite check; and the mean over the cohort.
 """
 
@@ -63,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import params as pvops
+from . import forks, params as pvops
 from .bits import as_bit_array, le64, pack_bits, sha256_expand_bits
 from .errors import (
     AggregationShapeError,
@@ -78,6 +93,14 @@ from .seeds import as_int
 # Width of a pair key, and the shortest round seed that may key the masks.
 KEY_BITS = 256
 DEFAULT_MASK_SCALE = 1e-3
+# Fewest SHA-256 blocks a masking pass over all K(K - 1)/2 pairs must hash
+# before its streams are expanded in forked processes.  On 2 vCPUs a fork
+# and reap cost about 5 ms, and each packed block piped back about 0.06 us
+# (pickling, the pipe and unpickling) against the ~0.5 us its hashing takes;
+# the caller's writes after the fork also take copy-on-write faults.  A
+# K = 20 pass of one tensor broke even between 30,000 and 200,000 blocks,
+# as the second vCPU's load varied, and gained from 300,000 on.
+_PARALLEL_MIN_BLOCKS = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +116,8 @@ class MaskingContext:
 
     `keys[i]` is client i's row of packed pair keys, None at index i, and
     `keys[i][j] is keys[j][i]`.  `streams` is the round's parked-stream
-    cache: (lo, hi, tensor offsets) -> the pair's packed keystream.
+    cache: (lo, hi, tensor offsets) -> (the pair's packed keystream, the
+    uses left before it is dropped).
     """
 
     def __init__(self, round_seed, round_index: int, num_clients: int,
@@ -151,6 +175,22 @@ def mask_keystream(key: bytes, tensor_ordinal: int, num_bits: int) -> np.ndarray
     return sha256_expand_bits(key + le64(tensor_ordinal), num_bits)
 
 
+def _mask_offsets(pv: ParamVec) -> tuple[int, ...]:
+    """The tensor offsets of `pv`, which must have no empty tensor."""
+    offsets = pvops.offsets(pv.layout)
+    if any(start == stop for start, stop in zip(offsets, offsets[1:])):
+        raise ValueError("cannot mask a tensor with no elements")
+    return offsets
+
+
+def _pair_stream(key: bytes, offsets: tuple[int, ...]) -> np.ndarray:
+    """A pair's keystream bits for every tensor of a layout, in one flat buffer."""
+    bits = np.empty(offsets[-1], dtype=np.uint8)
+    for ordinal, (start, stop) in enumerate(zip(offsets, offsets[1:])):
+        bits[start:stop] = mask_keystream(key, ordinal, stop - start)
+    return bits
+
+
 def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> ParamVec:
     """Signed sum of all pair masks for one client, laid out like `pv`.
 
@@ -159,11 +199,9 @@ def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> Param
     ordinal is the entry's position in canonical order.  Each element is
     (2c - (K - 1)) * gamma, where c counts its +gamma terms.  Each peer's
     bits come from the pair's stream parked in `streams`, or are expanded
-    and parked there by the first end of the pair.
+    and parked there, with one use left, by the first end of the pair.
     """
-    offsets = pvops.offsets(pv.layout)
-    if any(start == stop for start, stop in zip(offsets, offsets[1:])):
-        raise ValueError("cannot mask a tensor with no elements")
+    offsets = _mask_offsets(pv)
     k, n = len(row), pv.total_len
     client_index = row.index(None)
     # Every peer below starts as a +gamma term and loses it where its bit is 1.
@@ -177,12 +215,13 @@ def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> Param
         memo_key = (min(client_index, j), max(client_index, j), offsets)
         parked = streams.pop(memo_key, None)
         if parked is None:
-            bits = np.empty(n, dtype=np.uint8)
-            for ordinal, (start, stop) in enumerate(zip(offsets, offsets[1:])):
-                bits[start:stop] = mask_keystream(key, ordinal, stop - start)
-            streams[memo_key] = np.packbits(bits)
+            bits = _pair_stream(key, offsets)
+            streams[memo_key] = (np.packbits(bits), 1)
         else:
-            bits = np.unpackbits(parked, count=n)
+            packed, uses = parked
+            if uses > 1:
+                streams[memo_key] = (packed, uses - 1)
+            bits = np.unpackbits(packed, count=n)
         if j < client_index:
             np.subtract(count, bits, out=count)
         else:
@@ -199,16 +238,57 @@ def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> Param
     return ParamVec.from_buffer(pv.layout, total)
 
 
+def _park_every_pair(ctx: MaskingContext, offsets: tuple[int, ...], processes: int) -> None:
+    """Expand the stream of every pair of `ctx` not parked for `offsets`,
+    dealt round-robin to this process and up to `processes - 1` forked
+    children, and park each with two uses left."""
+    pairs = [
+        pair for pair in itertools.combinations(range(ctx.cohort.num_clients), 2)
+        if (*pair, offsets) not in ctx.streams
+    ]
+
+    def expand(share):
+        return [(lo, hi, np.packbits(_pair_stream(ctx.keys[lo][hi], offsets)))
+                for lo, hi in share]
+
+    shares = [pairs[s::processes] for s in range(min(processes, len(pairs)))]
+    for expanded in forks.fan_out(expand, shares, "keystream process of pairs"):
+        for lo, hi, packed in expanded:
+            ctx.streams[lo, hi, offsets] = (packed, 2)
+
+
 def apply_pairwise_masks(
-    pv: ParamVec, client_index: int, ctx: MaskingContext
+    pv: ParamVec, client_index: int, ctx: MaskingContext, processes: int | None = None
 ) -> MaskedUpdate:
-    """Mask one client's parameters for upload, with its row of pair keys."""
-    if not 0 <= client_index < ctx.cohort.num_clients:
-        raise InvalidPairError(
-            f"client index {client_index} out of range for K = {ctx.cohort.num_clients}"
-        )
+    """Mask one client's parameters for upload, with its row of pair keys.
+
+    When the client needs a pair stream that is not parked, and the
+    context's pairs would hash at least _PARALLEL_MIN_BLOCKS SHA-256 blocks
+    for this layout, every unparked pair's stream is first expanded in up
+    to `processes` processes at once (None means `usable_cores()`; one
+    process where this one may not fork).  It changes no output byte.
+    """
+    k = ctx.cohort.num_clients
+    if not 0 <= client_index < k:
+        raise InvalidPairError(f"client index {client_index} out of range for K = {k}")
+    if processes is None:
+        processes = forks.usable_cores()
+    if processes < 1:
+        raise ValueError(f"processes must be >= 1, got {processes}")
     if not pv.all_finite():
         raise ValueError("parameters must be finite before masking")
+    offsets = _mask_offsets(pv)
+    pass_blocks = math.comb(k, 2) * sum(
+        -(-(stop - start) // 256) for start, stop in zip(offsets, offsets[1:])
+    )
+    if (
+        processes > 1
+        and pass_blocks >= _PARALLEL_MIN_BLOCKS
+        and forks.may_fork()
+        and any((min(client_index, j), max(client_index, j), offsets) not in ctx.streams
+                for j in range(k) if j != client_index)
+    ):
+        _park_every_pair(ctx, offsets, processes)
     row = ctx.keys[client_index]
     # A large enough gamma overflows to +/-inf here; aggregate rejects the mean.
     with np.errstate(over="ignore"):

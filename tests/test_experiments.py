@@ -396,7 +396,7 @@ class TestRunDirectory:
         cfg = make_cfg(**overrides)
         for name, cores in (("serial", {0}), ("parallel", {0, 1})):
             monkeypatch.setattr(
-                "qkdfl.federated.os.sched_getaffinity", lambda pid, cores=cores: cores
+                "qkdfl.forks.os.sched_getaffinity", lambda pid, cores=cores: cores
             )
             run_experiment(cfg, tmp_path / name)
         for name in files:
@@ -431,8 +431,8 @@ class TestWorkerCount:
     def test_bounded_by_cells_and_cores(self, monkeypatch, cpus, cells, cores, workers):
         # The pool follows the cells and the affinity, not the machine's CPU count.
         sizes = []
-        monkeypatch.setattr("qkdfl.federated.os.sched_getaffinity", lambda pid: set(range(cores)))
-        monkeypatch.setattr("qkdfl.federated.os.cpu_count", lambda: cpus)
+        monkeypatch.setattr("qkdfl.forks.os.sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr("qkdfl.forks.os.cpu_count", lambda: cpus)
         monkeypatch.setattr("qkdfl.experiments._run_cell", _cell_trainers)
         monkeypatch.setattr(
             "qkdfl.experiments.concurrent.futures.ProcessPoolExecutor",
@@ -444,14 +444,14 @@ class TestWorkerCount:
 
     @pytest.mark.parametrize("cells,trainers", [(6, 1), (3, 1), (2, 2), (1, 4)])
     def test_workers_share_the_cores(self, monkeypatch, cells, trainers):
-        monkeypatch.setattr("qkdfl.federated.os.sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr("qkdfl.forks.os.sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr("qkdfl.experiments._run_cell", _cell_trainers)
         cfg = make_cfg(clients=list(range(2, 2 + cells)), modes=["plain"])
         assert run_cells(cfg)["trainers"] == [trainers] * cells
 
     def test_cores_follow_affinity_not_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("qkdfl.federated.os.sched_getaffinity", lambda pid: {3})
-        monkeypatch.setattr("qkdfl.federated.os.cpu_count", lambda: 8)
+        monkeypatch.setattr("qkdfl.forks.os.sched_getaffinity", lambda pid: {3})
+        monkeypatch.setattr("qkdfl.forks.os.cpu_count", lambda: 8)
         monkeypatch.setattr("qkdfl.experiments._run_cell", _cell_trainers)
         assert usable_cores() == 1
         assert run_cells(make_cfg())["trainers"] == [1] * 6
@@ -459,8 +459,8 @@ class TestWorkerCount:
     @pytest.mark.parametrize("cores,trainers", [(4, 2), (None, 1)])
     def test_cpu_count_fallback(self, monkeypatch, cores, trainers):
         # A platform that reports no affinity; an unknown CPU count is one core.
-        monkeypatch.delattr("qkdfl.federated.os.sched_getaffinity", raising=False)
-        monkeypatch.setattr("qkdfl.federated.os.cpu_count", lambda: cores)
+        monkeypatch.delattr("qkdfl.forks.os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("qkdfl.forks.os.cpu_count", lambda: cores)
         monkeypatch.setattr("qkdfl.experiments._run_cell", _cell_trainers)
         assert run_cells(make_cfg(clients=[3]))["trainers"] == [trainers] * 2
 

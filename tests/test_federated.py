@@ -1,5 +1,4 @@
 import os
-import signal
 import threading
 import time
 import weakref
@@ -25,6 +24,8 @@ from qkdfl.federated import (
 from qkdfl.models import ModelSpec, init_params
 from qkdfl.masking import KEY_BITS
 from qkdfl.qkd import BB84Config, QkdSession
+
+from conftest import assert_no_child_left
 
 CHANNEL_SPEC = ModelSpec(task="channel", init_seed=0)
 
@@ -309,37 +310,6 @@ def uneven_setup(task, num_clients):
     shards = partition_non_iid(train, num_clients, skew=0.5, seed=2)
     assert len({len(s) for s in shards}) > 1
     return shards, val
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The number of os.fork calls so far, as a one-element list."""
-    count, fork = [0], os.fork
-
-    def counting_fork():
-        count[0] += 1
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return count
-
-
-@pytest.fixture
-def deadline():
-    """Fail a test that runs for more than 60 s instead of letting it hang."""
-    def expire(signum, frame):
-        raise TimeoutError("the test ran for 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestConcurrentClients:

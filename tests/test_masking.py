@@ -2,7 +2,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import struct
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from qkdfl.errors import (
     DivergenceError,
     InvalidPairError,
     ProtocolError,
+    TrainerExitError,
     UndefinedProxyError,
 )
 from qkdfl.masking import (
@@ -32,6 +36,8 @@ from qkdfl.masking import (
     signs_from_bits,
 )
 from qkdfl.params import ParamVec
+
+from conftest import assert_no_child_left
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "keystream_vectors.json").read_text()
@@ -704,10 +710,179 @@ class TestPairStreamMemo:
             assert pvops.max_abs_diff(aggregate(batch), pvops.mean(pvs)) <= 1e-12
 
 
+class TestParallelPass:
+    """A pass past _PARALLEL_MIN_BLOCKS expands every unparked pair's stream
+    in forked processes at once, with the serial path's bytes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(2, 7),
+        shapes=st.lists(
+            st.sampled_from([(), (1,)]) | st.lists(st.integers(1, 9), max_size=3).map(tuple),
+            min_size=1, max_size=4,
+        ),
+        processes=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_uploads_match_a_fresh_serial_context(self, data, k, shapes, processes, seed):
+        order = data.draw(st.permutations(range(k)))
+        order.insert(data.draw(st.integers(0, k)), data.draw(st.integers(0, k - 1)))
+        rng = np.random.default_rng(seed)
+        pvs = [
+            ParamVec([(f"t{n}", rng.standard_normal(s)) for n, s in enumerate(shapes)])
+            for _ in range(k)
+        ]
+        ctx = make_ctx(num_clients=k, seed=seed)
+        forks, fork = [0], os.fork
+
+        def counting_fork():
+            forks[0] += 1
+            return fork()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(masking, "_PARALLEL_MIN_BLOCKS", 0)
+            mp.setattr(os, "fork", counting_fork)
+            for c in order:
+                got = apply_pairwise_masks(pvs[c], c, ctx, processes).params
+                fresh = make_ctx(num_clients=k, seed=seed)
+                ref = apply_pairwise_masks(pvs[c], c, fresh, 1).params
+                assert got.buf.tobytes() == ref.buf.tobytes()
+        # The first pass deals the K(K - 1)/2 pairs to min(processes, pairs) processes.
+        assert forks[0] >= min(processes, k * (k - 1) // 2) - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("threshold,children", [(9, 1), (10, 0)])
+    def test_threshold_counts_the_pass_blocks(self, monkeypatch, forks, threshold, children):
+        # 300 elements take 2 blocks and 1 element 1: 3 per pair, 9 for K = 3.
+        monkeypatch.setattr(masking, "_PARALLEL_MIN_BLOCKS", threshold)
+        pv = ParamVec([("w", np.ones(300)), ("b", np.ones(1))])
+        ctx = make_ctx(num_clients=3)
+        apply_pairwise_masks(pv, 0, ctx, 2)
+        assert forks == [children]
+        assert {uses for _, uses in ctx.streams.values()} == ({2, 1} if children else {1})
+
+    @pytest.mark.parametrize("on_thread,processes", [(True, 3), (False, 1)])
+    def test_forks_nothing_on_a_second_thread_or_in_one_process(
+        self, monkeypatch, forks, on_thread, processes
+    ):
+        monkeypatch.setattr(masking, "_PARALLEL_MIN_BLOCKS", 0)
+        rng = np.random.default_rng(5)
+        pvs = [mixed_pv(rng) for _ in range(4)]
+
+        def uploads(processes):
+            ctx = make_ctx(num_clients=4)
+            return [apply_pairwise_masks(pv, c, ctx, processes).params.buf.tobytes()
+                    for c, pv in enumerate(pvs)]
+
+        serial = uploads(1)
+        out = []
+        if on_thread:
+            worker = threading.Thread(target=lambda: out.append(uploads(processes)))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        else:
+            out.append(uploads(processes))
+        assert forks == [0]
+        assert out == [serial]
+
+    def test_child_exit_without_streams_named(self, monkeypatch, deadline):
+        monkeypatch.setattr(masking, "_PARALLEL_MIN_BLOCKS", 0)
+        caller, real = os.getpid(), masking.mask_keystream
+
+        def mask_keystream(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(masking, "mask_keystream", mask_keystream)
+        ctx = make_ctx(num_clients=3)
+        # Pairs (0, 1), (0, 2), (1, 2) dealt round-robin: the child has (0, 2).
+        with pytest.raises(
+            TrainerExitError, match=r"keystream process of pairs \[\(0, 2\)\] exited with code 3"
+        ):
+            apply_pairwise_masks(random_pv(np.random.default_rng(0)), 0, ctx, 2)
+        assert ctx.streams == {}
+        assert_no_child_left()
+
+    def test_interrupt_kills_a_child_blocked_on_a_full_pipe(self, monkeypatch, deadline):
+        """The caller is interrupted while the child blocks writing a packed
+        stream of 125,000 bytes, more than a pipe holds: the child is killed
+        and reaped."""
+        monkeypatch.setattr(masking, "_PARALLEL_MIN_BLOCKS", 0)
+        caller = os.getpid()
+        expanded, signal_expanded = os.pipe()
+
+        def mask_keystream(key, ordinal, num_bits):
+            if os.getpid() == caller:
+                os.read(expanded, 1)  # the child has its stream
+                time.sleep(0.2)  # and is now blocked writing it
+                raise KeyboardInterrupt
+            os.write(signal_expanded, b"x")
+            return np.zeros(num_bits, dtype=np.uint8)
+
+        monkeypatch.setattr(masking, "mask_keystream", mask_keystream)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                apply_pairwise_masks(
+                    ParamVec([("w", np.zeros(1_000_000))]), 0, make_ctx(num_clients=3), 2
+                )
+        finally:
+            os.close(expanded)
+            os.close(signal_expanded)
+        assert_no_child_left()
+
+
 # Layouts with tensor sizes 15, 1, 12, 1,073 and 1 (a 0-d tensor), none a
 # multiple of 8; at K = 257 a tiny one keeps the 32,896 pair keys cheap.
 PIN_SHAPES = [(3, 5), (1,), (2, 2, 3), (37, 29), ()]
 TINY_SHAPES = [(3,), (2, 5)]
+
+
+PINNED_DIGESTS = [
+    (2, 0.0, "1f161e3871fec9a8f76e48e199b0c99bb3d5892a92c067dae0ec910615fd4757"),
+    (2, -0.0, "1f161e3871fec9a8f76e48e199b0c99bb3d5892a92c067dae0ec910615fd4757"),
+    (2, 1e-3, "8f7b9384bffe5bbb3d79d2f5273beeb70134a0076781c690d8b2214ce3ae300d"),
+    (2, 1e300, "7cb5bd795d435b1b369fdbcf11393e1f89d28d85b39a7f437d7dcb988be99484"),
+    (3, 0.0, "5387843506fc4ef49be360b4bb287f5449cc535b9e2ef0f8efd21c6e497c233c"),
+    (3, -0.0, "5387843506fc4ef49be360b4bb287f5449cc535b9e2ef0f8efd21c6e497c233c"),
+    (3, 1e-3, "7255ecc08b7c1f53144c263f62d8b18b96ef7c82501739347c89a884d6005946"),
+    (3, 1e300, "a89084eadde095422b7e9709e14ab5638e9516a7e059835af1000e1b265746dd"),
+    (20, 0.0, "7d0dbbd25dc35a4c0be3fe9a1b7a85f7ef6cda982c11c176b86ac58eb618c255"),
+    (20, -0.0, "7d0dbbd25dc35a4c0be3fe9a1b7a85f7ef6cda982c11c176b86ac58eb618c255"),
+    (20, 1e-3, "b87db9b1212dd54de061fa0a19fda79914035e2ae1436d3f554f82304bde3a19"),
+    (20, 1e300, "16e5fa3662399a2a93c8550f8bfeb62183f7b8712f00346101ae300724999bba"),
+    (65, 0.0, "83342842572ebaf4b51e21969df95f4789499679713c23375cce45337a100423"),
+    (65, -0.0, "83342842572ebaf4b51e21969df95f4789499679713c23375cce45337a100423"),
+    (65, 1e-3, "e1d6fcf4bd0f04090b7aa3f023607bfe3a8a944a1da59482ca3238a307aec74e"),
+    (65, 1e300, "0cae0f7093f4b65da35f03167e88674b42802093b1218eb1bf68ba86236b9fb6"),
+    (257, 0.0, "996027fd4c8ecd9ef607582509dc9f019528865a224d90ee01591530c74834e5"),
+    (257, -0.0, "996027fd4c8ecd9ef607582509dc9f019528865a224d90ee01591530c74834e5"),
+    (257, 1e-3, "e7c731e04e4b62bd6e78eaaa6e9b40b243193a53e6638f49473e549f542eee27"),
+    (257, 1e300, "b99824783100a7bbc58526ac3bca2695a1787509ec7f2f9efd4bb3f94c53b7d6"),
+]
+
+
+def cohort_digest(k, gamma, processes):
+    """SHA-256 over every upload of a K-client cohort and its aggregate."""
+    ctx = make_ctx(num_clients=k, seed=k, mask_scale=gamma)
+    rng = np.random.default_rng(k)
+    shapes = TINY_SHAPES if k == 257 else PIN_SHAPES
+    pvs = [
+        ParamVec([(f"t{n}", rng.standard_normal(s)) for n, s in enumerate(shapes)])
+        for _ in range(k)
+    ]
+    for pv in pvs:
+        # -0.0 + -0.0 is the one sum that keeps a -0.0 mask element.
+        pv.buf[::3] = -0.0
+        pv.buf[1::5] = 0.0
+    h = hashlib.sha256()
+    batch = [apply_pairwise_masks(pv, c, ctx, processes) for c, pv in enumerate(pvs)]
+    for m in batch:
+        h.update(m.params.buf.tobytes())
+    h.update(aggregate(batch).buf.tobytes())
+    return h.hexdigest()
 
 
 class TestCohortDigests:
@@ -716,52 +891,21 @@ class TestCohortDigests:
     +0.0) that the integer-domain scaling replaced.  At K = 65 the doubled
     count reaches 128, past int8; K = 257 needs a 16-bit count; gamma =
     +/-0.0 takes the +0.0 fix-up; at 1e300 every upload, up to 256e300 in
-    magnitude, is still finite."""
+    magnitude, is still finite.  The serial path and a parallel pass give
+    the same digests."""
 
-    @pytest.mark.parametrize(
-        "k,gamma,digest",
-        [
-            (2, 0.0, "1f161e3871fec9a8f76e48e199b0c99bb3d5892a92c067dae0ec910615fd4757"),
-            (2, -0.0, "1f161e3871fec9a8f76e48e199b0c99bb3d5892a92c067dae0ec910615fd4757"),
-            (2, 1e-3, "8f7b9384bffe5bbb3d79d2f5273beeb70134a0076781c690d8b2214ce3ae300d"),
-            (2, 1e300, "7cb5bd795d435b1b369fdbcf11393e1f89d28d85b39a7f437d7dcb988be99484"),
-            (3, 0.0, "5387843506fc4ef49be360b4bb287f5449cc535b9e2ef0f8efd21c6e497c233c"),
-            (3, -0.0, "5387843506fc4ef49be360b4bb287f5449cc535b9e2ef0f8efd21c6e497c233c"),
-            (3, 1e-3, "7255ecc08b7c1f53144c263f62d8b18b96ef7c82501739347c89a884d6005946"),
-            (3, 1e300, "a89084eadde095422b7e9709e14ab5638e9516a7e059835af1000e1b265746dd"),
-            (20, 0.0, "7d0dbbd25dc35a4c0be3fe9a1b7a85f7ef6cda982c11c176b86ac58eb618c255"),
-            (20, -0.0, "7d0dbbd25dc35a4c0be3fe9a1b7a85f7ef6cda982c11c176b86ac58eb618c255"),
-            (20, 1e-3, "b87db9b1212dd54de061fa0a19fda79914035e2ae1436d3f554f82304bde3a19"),
-            (20, 1e300, "16e5fa3662399a2a93c8550f8bfeb62183f7b8712f00346101ae300724999bba"),
-            (65, 0.0, "83342842572ebaf4b51e21969df95f4789499679713c23375cce45337a100423"),
-            (65, -0.0, "83342842572ebaf4b51e21969df95f4789499679713c23375cce45337a100423"),
-            (65, 1e-3, "e1d6fcf4bd0f04090b7aa3f023607bfe3a8a944a1da59482ca3238a307aec74e"),
-            (65, 1e300, "0cae0f7093f4b65da35f03167e88674b42802093b1218eb1bf68ba86236b9fb6"),
-            (257, 0.0, "996027fd4c8ecd9ef607582509dc9f019528865a224d90ee01591530c74834e5"),
-            (257, -0.0, "996027fd4c8ecd9ef607582509dc9f019528865a224d90ee01591530c74834e5"),
-            (257, 1e-3, "e7c731e04e4b62bd6e78eaaa6e9b40b243193a53e6638f49473e549f542eee27"),
-            (257, 1e300, "b99824783100a7bbc58526ac3bca2695a1787509ec7f2f9efd4bb3f94c53b7d6"),
-        ],
-        ids=lambda v: v[:8] if isinstance(v, str) else None,
+    pinned = pytest.mark.parametrize(
+        "k,gamma,digest", PINNED_DIGESTS, ids=lambda v: v[:8] if isinstance(v, str) else None
     )
+
+    @pinned
     def test_uploads_and_aggregate_are_pinned(self, k, gamma, digest):
-        ctx = make_ctx(num_clients=k, seed=k, mask_scale=gamma)
-        rng = np.random.default_rng(k)
-        shapes = TINY_SHAPES if k == 257 else PIN_SHAPES
-        pvs = [
-            ParamVec([(f"t{n}", rng.standard_normal(s)) for n, s in enumerate(shapes)])
-            for _ in range(k)
-        ]
-        for pv in pvs:
-            # -0.0 + -0.0 is the one sum that keeps a -0.0 mask element.
-            pv.buf[::3] = -0.0
-            pv.buf[1::5] = 0.0
-        h = hashlib.sha256()
-        batch = [apply_pairwise_masks(pv, c, ctx) for c, pv in enumerate(pvs)]
-        for m in batch:
-            h.update(m.params.buf.tobytes())
-        h.update(aggregate(batch).buf.tobytes())
-        assert h.hexdigest() == digest
+        assert cohort_digest(k, gamma, processes=1) == digest
+
+    @pinned
+    def test_parallel_pass_gives_the_pinned_digests(self, monkeypatch, k, gamma, digest):
+        monkeypatch.setattr(masking, "_PARALLEL_MIN_BLOCKS", 0)
+        assert cohort_digest(k, gamma, processes=2) == digest
 
 
 class TestParamsMean:
@@ -920,6 +1064,10 @@ class TestGuards:
                     ParamVec([("b", np.ones(2)), ("w", np.zeros((3, 0)))]), 1, make_ctx()
                 ),
                 ValueError, "cannot mask a tensor with no elements", id="empty-last-tensor",
+            ),
+            pytest.param(
+                lambda: apply_pairwise_masks(ParamVec([("a", np.ones(2))]), 0, make_ctx(), 0),
+                ValueError, "processes must be >= 1, got 0", id="no-processes",
             ),
             pytest.param(
                 lambda: aggregate([apply_pairwise_masks(ParamVec([("a", np.ones(2))]), 0, make_ctx())]),
