@@ -32,10 +32,11 @@ trains its own and pipes back each client's update, or the exception it
 raised.  Processes, unlike threads, do not contend for the interpreter
 lock.  Every client trains on its own model and its own seeded shuffle, so
 the round is byte-identical to training the clients one after another.
-The same `trainers` budget goes to the masking pass: one whose pair
-keystreams would hash at least `masking._PARALLEL_MIN_BLOCKS` SHA-256
-blocks expands them in up to that many processes, forked the same way;
-the shipped models' rounds stay below it and mask in the calling process.
+The same `trainers` budget goes to the masking pass, which expands every
+pair's keystream once, at its start: one that would hash at least
+`masking._PARALLEL_MIN_BLOCKS` SHA-256 blocks does so in up to that many
+processes, forked the same way; the shipped models' rounds stay below it
+and expand theirs in the calling process.
 Key agreement, aggregation, leakage and evaluation stay in the calling
 process.  A fork copies only the calling thread, so a process with another
 Python thread alive, or a platform other than Linux, trains and masks

@@ -37,23 +37,23 @@ there +0.0 is added, as a running sum of the masks would give.  The sum
 fills one flat buffer, so aggregation and leakage are flat operations.
 
 Each pair's keystream is expanded once per round and parked, packed, in
-the round's MaskingContext.streams with the uses it has left.  On the
-serial path the first end of a pair to mask expands every tensor's stream
-from the pair key into one flat buffer and parks it with one use left; the
-other end pops and unpacks it instead of hashing.  A pass whose K(K - 1)/2
-pairs would hash at least _PARALLEL_MIN_BLOCKS SHA-256 blocks takes the
-parallel path (apply_pairwise_masks): the first client that needs an
-unparked stream expands every unparked pair's stream at once, dealt
-round-robin to the calling process and up to `processes - 1` forked
-children (forks.fan_out), which pipe theirs back packed, and parks each
-with two uses left.  The streams are deterministic per pair, so both paths
-give the same bytes.  The cache is a simulation shortcut: it spares an end
-an expansion it could do from its own copy of the key.  A stream is
-dropped at its last use, so a context holds at most ceil(K/2) * floor(K/2)
-pairs' packed streams on the serial path (one bit per parameter each:
-100 x 121 KB for K = 20 and 969,380 parameters), all K(K - 1)/2 at the
-start of a parallel pass (190 x 121 KB, 23 MB), and none once all K
-clients have masked.
+the round's MaskingContext.streams.  The first client that needs a stream
+not parked for its layout (apply_pairwise_masks) expands the stream of
+every pair with an end not parked, each tensor's stream from the pair key
+into one flat buffer, and parks it once under both ordered keys (i, j) and
+(j, i); each end pops its own key, and pair_mask_sum only consumes.  A pass
+whose K(K - 1)/2 pairs would hash at least _PARALLEL_MIN_BLOCKS SHA-256
+blocks is dealt round-robin to the calling process and up to
+`processes - 1` forked children (forks.fan_out), which pipe theirs back
+packed; any other pass, or one where this process may not fork, is
+expanded in the calling process alone.  The streams are deterministic per
+pair, so the process count moves no byte.  The cache is a simulation
+shortcut: it spares each end an expansion it could do from its own copy of
+the key.  A stream is dropped once both ends have popped it, so a context
+holds all K(K - 1)/2 pairs' packed streams, one bit per parameter each, at
+the start of a pass (190 x 450 B for a K = 20 channel round, 45 x 7.6 KB
+for a K = 10 radar round, 190 x 121 KB = 23 MB for K = 20 and 969,380
+parameters) and none once all K clients have masked.
 
 Where a masked upload's time goes: the SHA-256 counter blocks, one per 256
 mask bits of each pair.  A K = 20 cohort of 969,380-parameter uploads
@@ -61,13 +61,18 @@ hashes 720,670 blocks at about 0.4 us each, two OpenSSL context copies per
 block through hashlib (every other hashlib form timed was slower): about
 285 ms of a ~490 ms cohort on one core.  That pass is far past the
 threshold, while a K = 10 radar round's (11,115 blocks) and a K = 20
-channel round's (3,420) stay serial.  On 2 vCPUs the caller hashes half
-the pairs while one child hashes the other half (190-270 ms, as the second
-vCPU's load varies), then reads back the child's 11.5 MB of packed streams
-(12-17 ms) and unpickles them (7-8 ms).  The rest is numpy passes: per
-peer, one add into the count and the unpack of its stream (or the fill and
-pack of a serial first end); per client, the scaling multiply, the float64
-upload and its finite check; and the mean over the cohort.
+channel round's (3,420) are expanded in the calling process.  On 2 vCPUs
+the caller hashes half the pairs while one child hashes the other half
+(190-270 ms, as the second vCPU's load varies), then reads back the
+child's 11.5 MB of packed streams (12-17 ms) and unpickles them (7-8 ms).
+On one core the caller parks all 190 streams up front and each end unpacks
+its own: the benchmark's secagg_k20_1m op takes 1,012-1,072 ms and peaks
+at 375.7 MB (taskset -c 0 on a 2-vCPU KVM guest, 4 runs), against
+912-1,063 ms and 373.7 MB for a path on which the first end of a pair
+hashed the stream and read its bits unpacked.  The rest is numpy passes:
+per pair, the fill and pack of its stream; per peer, one add into the
+count and the unpack of its stream; per client, the scaling multiply, the
+float64 upload and its finite check; and the mean over the cohort.
 """
 
 from __future__ import annotations
@@ -116,8 +121,8 @@ class MaskingContext:
 
     `keys[i]` is client i's row of packed pair keys, None at index i, and
     `keys[i][j] is keys[j][i]`.  `streams` is the round's parked-stream
-    cache: (lo, hi, tensor offsets) -> (the pair's packed keystream, the
-    uses left before it is dropped).
+    cache: (i, j, tensor offsets) -> the pair's packed keystream, parked
+    under (i, j) and (j, i) and popped by each end.
     """
 
     def __init__(self, round_seed, round_index: int, num_clients: int,
@@ -175,33 +180,17 @@ def mask_keystream(key: bytes, tensor_ordinal: int, num_bits: int) -> np.ndarray
     return sha256_expand_bits(key + le64(tensor_ordinal), num_bits)
 
 
-def _mask_offsets(pv: ParamVec) -> tuple[int, ...]:
-    """The tensor offsets of `pv`, which must have no empty tensor."""
-    offsets = pvops.offsets(pv.layout)
-    if any(start == stop for start, stop in zip(offsets, offsets[1:])):
-        raise ValueError("cannot mask a tensor with no elements")
-    return offsets
-
-
-def _pair_stream(key: bytes, offsets: tuple[int, ...]) -> np.ndarray:
-    """A pair's keystream bits for every tensor of a layout, in one flat buffer."""
-    bits = np.empty(offsets[-1], dtype=np.uint8)
-    for ordinal, (start, stop) in enumerate(zip(offsets, offsets[1:])):
-        bits[start:stop] = mask_keystream(key, ordinal, stop - start)
-    return bits
-
-
 def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> ParamVec:
     """Signed sum of all pair masks for one client, laid out like `pv`.
 
     `row` is the client's row of packed pair keys, None at its own index i.
     Client i adds m_ij for j > i and subtracts it for j < i; the tensor
     ordinal is the entry's position in canonical order.  Each element is
-    (2c - (K - 1)) * gamma, where c counts its +gamma terms.  Each peer's
-    bits come from the pair's stream parked in `streams`, or are expanded
-    and parked there, with one use left, by the first end of the pair.
+    (2c - (K - 1)) * gamma, where c counts its +gamma terms.  Each peer j's
+    bits are the pair's packed stream, popped from `streams` under
+    (i, j, tensor offsets); nothing is hashed here.
     """
-    offsets = _mask_offsets(pv)
+    offsets = pvops.offsets(pv.layout)
     k, n = len(row), pv.total_len
     client_index = row.index(None)
     # Every peer below starts as a +gamma term and loses it where its bit is 1.
@@ -209,19 +198,10 @@ def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> Param
     # -(K - 1)..K - 1, so 2c - (K - 1) can be formed in place below.
     width = np.min_scalar_type(-k).itemsize
     count = np.full(n, client_index, dtype=f"u{width}")
-    for j, key in enumerate(row):
-        if key is None:
+    for j in range(k):
+        if j == client_index:
             continue
-        memo_key = (min(client_index, j), max(client_index, j), offsets)
-        parked = streams.pop(memo_key, None)
-        if parked is None:
-            bits = _pair_stream(key, offsets)
-            streams[memo_key] = (np.packbits(bits), 1)
-        else:
-            packed, uses = parked
-            if uses > 1:
-                streams[memo_key] = (packed, uses - 1)
-            bits = np.unpackbits(packed, count=n)
+        bits = np.unpackbits(streams.pop((client_index, j, offsets)), count=n)
         if j < client_index:
             np.subtract(count, bits, out=count)
         else:
@@ -239,22 +219,35 @@ def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> Param
 
 
 def _park_every_pair(ctx: MaskingContext, offsets: tuple[int, ...], processes: int) -> None:
-    """Expand the stream of every pair of `ctx` not parked for `offsets`,
-    dealt round-robin to this process and up to `processes - 1` forked
-    children, and park each with two uses left."""
+    """Expand the stream of every pair of `ctx` with an end not parked for
+    `offsets` and park it under both ends.  A pass of at least
+    _PARALLEL_MIN_BLOCKS blocks is dealt round-robin to this process and up
+    to `processes - 1` forked children, where this process may fork; any
+    other runs in this process alone."""
+    k = ctx.cohort.num_clients
     pairs = [
-        pair for pair in itertools.combinations(range(ctx.cohort.num_clients), 2)
-        if (*pair, offsets) not in ctx.streams
+        (i, j) for i, j in itertools.combinations(range(k), 2)
+        if (i, j, offsets) not in ctx.streams or (j, i, offsets) not in ctx.streams
     ]
+    pass_blocks = math.comb(k, 2) * sum(
+        -(-(stop - start) // 256) for start, stop in zip(offsets, offsets[1:])
+    )
+    if pass_blocks < _PARALLEL_MIN_BLOCKS or not forks.may_fork():
+        processes = 1
 
     def expand(share):
-        return [(lo, hi, np.packbits(_pair_stream(ctx.keys[lo][hi], offsets)))
-                for lo, hi in share]
+        bits = np.empty(offsets[-1], dtype=np.uint8)
+        expanded = []
+        for i, j in share:
+            for ordinal, (start, stop) in enumerate(zip(offsets, offsets[1:])):
+                bits[start:stop] = mask_keystream(ctx.keys[i][j], ordinal, stop - start)
+            expanded.append((i, j, np.packbits(bits)))
+        return expanded
 
     shares = [pairs[s::processes] for s in range(min(processes, len(pairs)))]
     for expanded in forks.fan_out(expand, shares, "keystream process of pairs"):
-        for lo, hi, packed in expanded:
-            ctx.streams[lo, hi, offsets] = (packed, 2)
+        for i, j, packed in expanded:
+            ctx.streams[i, j, offsets] = ctx.streams[j, i, offsets] = packed
 
 
 def apply_pairwise_masks(
@@ -262,11 +255,10 @@ def apply_pairwise_masks(
 ) -> MaskedUpdate:
     """Mask one client's parameters for upload, with its row of pair keys.
 
-    When the client needs a pair stream that is not parked, and the
-    context's pairs would hash at least _PARALLEL_MIN_BLOCKS SHA-256 blocks
-    for this layout, every unparked pair's stream is first expanded in up
-    to `processes` processes at once (None means `usable_cores()`; one
-    process where this one may not fork).  It changes no output byte.
+    When the client needs a pair stream that is not parked for this layout,
+    every pair's stream with an end not parked is first expanded and parked
+    (_park_every_pair), in up to `processes` processes (None means
+    `usable_cores()`).  It changes no output byte.
     """
     k = ctx.cohort.num_clients
     if not 0 <= client_index < k:
@@ -277,17 +269,10 @@ def apply_pairwise_masks(
         raise ValueError(f"processes must be >= 1, got {processes}")
     if not pv.all_finite():
         raise ValueError("parameters must be finite before masking")
-    offsets = _mask_offsets(pv)
-    pass_blocks = math.comb(k, 2) * sum(
-        -(-(stop - start) // 256) for start, stop in zip(offsets, offsets[1:])
-    )
-    if (
-        processes > 1
-        and pass_blocks >= _PARALLEL_MIN_BLOCKS
-        and forks.may_fork()
-        and any((min(client_index, j), max(client_index, j), offsets) not in ctx.streams
-                for j in range(k) if j != client_index)
-    ):
+    offsets = pvops.offsets(pv.layout)
+    if any(start == stop for start, stop in zip(offsets, offsets[1:])):
+        raise ValueError("cannot mask a tensor with no elements")
+    if any((client_index, j, offsets) not in ctx.streams for j in range(k) if j != client_index):
         _park_every_pair(ctx, offsets, processes)
     row = ctx.keys[client_index]
     # A large enough gamma overflows to +/-inf here; aggregate rejects the mean.

@@ -62,7 +62,12 @@ def make_ctx(num_clients=4, round_index=0, seed=0, **kw):
 
 
 def mask_sum(pv, client_index, ctx):
-    """`pair_mask_sum` over the client's row, as `apply_pairwise_masks` calls it."""
+    """`pair_mask_sum` over the client's row, as `apply_pairwise_masks` calls
+    it: the layout's streams are parked first."""
+    offsets = pvops.offsets(pv.layout)
+    peers = [j for j in range(ctx.cohort.num_clients) if j != client_index]
+    if any((client_index, j, offsets) not in ctx.streams for j in peers):
+        masking._park_every_pair(ctx, offsets, 1)
     return pair_mask_sum(pv, ctx.keys[client_index], ctx.mask_scale, ctx.streams)
 
 
@@ -662,14 +667,16 @@ class TestPairStreamMemo:
                     with pytest.raises(InvalidPairError):
                         apply_pairwise_masks(pvs[0], bad, ctx)
                 assert ctx.streams.keys() == parked.keys()
-        pending = {(lo, hi) for lo, hi, _ in ctx.streams}
         if repeat is None:
-            assert pending == set()
+            assert ctx.streams == {}
         else:
-            # A pair's stream is dropped on its second use, so the repeated
-            # client's pairs are used three times and end up parked again.
-            others = set(range(k)) - {repeat}
-            assert pending == {(min(repeat, j), max(repeat, j)) for j in others}
+            # The repeat's second mask re-parks every pair with an end already
+            # popped, so the other clients that masked before it are left
+            # with their ends parked.
+            second = len(order) - 1 - order[::-1].index(repeat)
+            before = set(order[:second]) - {repeat}
+            pending = {(i, j) for i, j, _ in ctx.streams}
+            assert pending == {(i, j) for i in before for j in range(k) if j != i}
 
     def test_streams_are_not_shared_across_layouts(self):
         # The second end's upload has another layout, so it must expand its own.
@@ -702,17 +709,36 @@ class TestPairStreamMemo:
         ctx = make_ctx(num_clients=k)
         # The context derives every pair key once; masking derives none.
         assert counts == {"keys": k * (k - 1) // 2, "streams": 0}
-        for _ in range(2):
+        # The third cohort's pass is past _PARALLEL_MIN_BLOCKS, in one process.
+        for threshold, processes in [(masking._PARALLEL_MIN_BLOCKS, None)] * 2 + [(0, 1)]:
+            monkeypatch.setattr(masking, "_PARALLEL_MIN_BLOCKS", threshold)
             counts.update(keys=0, streams=0)
-            batch = [apply_pairwise_masks(pv, c, ctx) for c, pv in enumerate(pvs)]
+            batch = [apply_pairwise_masks(pv, c, ctx, processes) for c, pv in enumerate(pvs)]
             assert counts == {"keys": 0, "streams": k * (k - 1) // 2 * tensors}
             assert ctx.streams == {}
             assert pvops.max_abs_diff(aggregate(batch), pvops.mean(pvs)) <= 1e-12
 
+    def test_mask_sum_hashes_nothing_once_the_layout_is_parked(self, monkeypatch):
+        k = 5
+        rng = np.random.default_rng(12)
+        pv = mixed_pv(rng)
+        ctx = make_ctx(num_clients=k, mask_scale=0.37)
+        want = [count_pair_mask_sum(pv, c, ctx) for c in range(k)]
+        masking._park_every_pair(ctx, pvops.offsets(pv.layout), 1)
+
+        def mask_keystream(*args):
+            raise AssertionError("pair_mask_sum hashed a stream")
+
+        monkeypatch.setattr(masking, "mask_keystream", mask_keystream)
+        for c in range(k):
+            got = pair_mask_sum(pv, ctx.keys[c], ctx.mask_scale, ctx.streams)
+            assert got.buf.tobytes() == want[c].buf.tobytes()
+        assert ctx.streams == {}
+
 
 class TestParallelPass:
     """A pass past _PARALLEL_MIN_BLOCKS expands every unparked pair's stream
-    in forked processes at once, with the serial path's bytes."""
+    in forked processes at once, with the bytes of a pass in one process."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -760,7 +786,8 @@ class TestParallelPass:
         ctx = make_ctx(num_clients=3)
         apply_pairwise_masks(pv, 0, ctx, 2)
         assert forks == [children]
-        assert {uses for _, uses in ctx.streams.values()} == ({2, 1} if children else {1})
+        offsets = pvops.offsets(pv.layout)
+        assert ctx.streams.keys() == {(i, j, offsets) for i in (1, 2) for j in range(3) if j != i}
 
     @pytest.mark.parametrize("on_thread,processes", [(True, 3), (False, 1)])
     def test_forks_nothing_on_a_second_thread_or_in_one_process(
@@ -891,7 +918,7 @@ class TestCohortDigests:
     +0.0) that the integer-domain scaling replaced.  At K = 65 the doubled
     count reaches 128, past int8; K = 257 needs a 16-bit count; gamma =
     +/-0.0 takes the +0.0 fix-up; at 1e300 every upload, up to 256e300 in
-    magnitude, is still finite.  The serial path and a parallel pass give
+    magnitude, is still finite.  A pass in one process and a forked one give
     the same digests."""
 
     pinned = pytest.mark.parametrize(
