@@ -33,10 +33,10 @@ raised.  Processes, unlike threads, do not contend for the interpreter
 lock.  Every client trains on its own model and its own seeded shuffle, so
 the round is byte-identical to training the clients one after another.
 The same `trainers` budget goes to the masking pass, which expands every
-pair's keystream once, at its start: one that would hash at least
-`masking._PARALLEL_MIN_BLOCKS` SHA-256 blocks does so in up to that many
-processes, forked the same way; the shipped models' rounds stay below it
-and expand theirs in the calling process.
+pair's keystream once and parks one count per client, which it pops: one
+that would hash at least `masking._PARALLEL_MIN_BLOCKS` SHA-256 blocks
+expands them in up to that many processes, forked the same way; the
+shipped models' rounds stay below it and expand theirs in this process.
 Key agreement, aggregation, leakage and evaluation stay in the calling
 process.  A fork copies only the calling thread, so a process with another
 Python thread alive, or a platform other than Linux, trains and masks
@@ -203,8 +203,6 @@ def _train_clients(
     outlives the call: on any failure here, an interrupt included, the
     children are killed and reaped.
     """
-    if trainers < 1:
-        raise ValueError(f"trainers must be >= 1, got {trainers}")
     groups = _deal(shards, min(trainers, cfg.num_clients) if may_fork() else 1)
     results = fan_out(
         lambda group: _train_group(global_params, shards, cfg, group),
@@ -280,6 +278,9 @@ def run_round(
         raise ValueError(
             f"expected {cfg.num_clients} shards, got {len(shards)}"
         )
+    trainers = usable_cores() if trainers is None else trainers
+    if trainers < 1:
+        raise ValueError(f"trainers must be >= 1, got {trainers}")
 
     qber = sifted_len = final_len = session_key = None
     status = STATUS_SECURE
@@ -298,8 +299,7 @@ def run_round(
     new_global, recon_error, leakage, nbytes = global_params, None, [], 0
     if status == STATUS_SECURE:
         new_global, recon_error, leakage = _secure_round(
-            global_params, shards, cfg, session_key,
-            usable_cores() if trainers is None else trainers,
+            global_params, shards, cfg, session_key, trainers
         )
         nbytes = global_params.nbytes_serialized
 

@@ -24,36 +24,43 @@ j > i and subtracts it for j < i; subtracting the mask of bit b adds the
 mask of bit 1 - b, so each element of the sum is (2c - (K - 1)) * gamma,
 where c counts its +gamma terms: i (one per peer below, before its bits are
 subtracted) plus the bits of the peers above minus the bits of the peers
-below.  Peers come in ascending order, so the count first falls from i by
-at most i and then rises by at most K - 1 - i: it stays in 0..K-1.  It is
-the integer that tells which coordinates a +/-gamma mask leaves unmasked
-(c == (K - 1) / 2).  The count is scaled in the integer domain: it is held
+below, a value in 0..K-1.  It is the integer that tells which coordinates
+a +/-gamma mask leaves unmasked (c == (K - 1) / 2).  The count is held
 unsigned, as wide as the smallest signed type that holds -(K - 1)..K - 1
-(8 bits up to K = 128), 2c - (K - 1) is formed in place and read through
-the signed view, and one multiply casts it to float64 and scales it by
-gamma, with one rounding per element.  A nonzero integer times a gamma > 0
-never rounds to zero, so only gamma = +/-0.0 gives -0.0 products, and
-there +0.0 is added, as a running sum of the masks would give.  The sum
-fills one flat buffer, so aggregation and leakage are flat operations.
+(8 bits up to K = 128).  Its adds and subtracts wrap modulo 2**(8 * width)
+and the final c lies in 0..K-1, so their order moves no byte.  It is
+scaled in the integer domain: 2c - (K - 1) is formed in place and read
+through the signed view, and one multiply casts it to float64 and scales
+it by gamma, with one rounding per element.  A nonzero integer times a
+gamma > 0 never rounds to zero, so only gamma = +/-0.0 gives -0.0
+products, and there +0.0 is added, as a running sum of the masks would
+give.  The sum fills one flat buffer, so aggregation and leakage are flat
+operations.
 
-Each pair's keystream is expanded once per round and parked, packed, in
-the round's MaskingContext.streams.  The first client that needs a stream
-not parked for its layout (apply_pairwise_masks) expands the stream of
-every pair with an end not parked, each tensor's stream from the pair key
-into one flat buffer, and parks it once under both ordered keys (i, j) and
-(j, i); each end pops its own key, and pair_mask_sum only consumes.  A pass
-whose K(K - 1)/2 pairs would hash at least _PARALLEL_MIN_BLOCKS SHA-256
-blocks is dealt round-robin to the calling process and up to
-`processes - 1` forked children (forks.fan_out), which pipe theirs back
-packed; any other pass, or one where this process may not fork, is
-expanded in the calling process alone.  The streams are deterministic per
-pair, so the process count moves no byte.  The cache is a simulation
-shortcut: it spares each end an expansion it could do from its own copy of
-the key.  A stream is dropped once both ends have popped it, so a context
-holds all K(K - 1)/2 pairs' packed streams, one bit per parameter each, at
-the start of a pass (190 x 450 B for a K = 20 channel round, 45 x 7.6 KB
-for a K = 10 radar round, 190 x 121 KB = 23 MB for K = 20 and 969,380
-parameters) and none once all K clients have masked.
+Each pair's keystream is expanded once per pass, and each client's count
+is built once, in that pass.  The first client whose count is not parked
+for its layout (apply_pairwise_masks) runs the pass: it expands the stream
+of every pair, each tensor's stream from the pair key into one flat
+buffer, and packs it.  The caller then fills K counts, one array each,
+count i starting at i; it unpacks the stream of each pair i < j once, adds
+its bits to count i and subtracts them from count j, and parks count i in
+the round's MaskingContext.counts under (i, offsets).  Each client pops its
+own count, and pair_mask_sum only scales it.  A pass whose K(K - 1)/2
+pairs would hash at least _PARALLEL_MIN_BLOCKS SHA-256 blocks is dealt
+round-robin to the calling process and up to `processes - 1` forked
+children (forks.fan_out), which pipe their streams back packed; any other
+pass, or one where this process may not fork, is expanded in the calling
+process alone.  The streams are deterministic per pair, so the process
+count moves no byte.  The cache is a simulation shortcut: it spares each
+client an expansion of its K - 1 streams that it could do from its own
+keys.  A context holds at most K counts per layout, one integer per
+parameter and client (72 KB for a K = 20 channel round, 609 KB for a
+K = 10 radar round, 19.4 MB for K = 20 and 969,380 parameters); each is
+freed once its client has masked, so a pass's counts shrink as the cohort
+masks and none are left once all K clients have.  A client that masks
+twice runs a second pass, which parks again the counts of the clients
+that masked before it: at most K - 1 counts stay until the context is
+dropped.
 
 Where a masked upload's time goes: the SHA-256 counter blocks, one per 256
 mask bits of each pair.  A K = 20 cohort of 969,380-parameter uploads
@@ -65,14 +72,12 @@ channel round's (3,420) are expanded in the calling process.  On 2 vCPUs
 the caller hashes half the pairs while one child hashes the other half
 (190-270 ms, as the second vCPU's load varies), then reads back the
 child's 11.5 MB of packed streams (12-17 ms) and unpickles them (7-8 ms).
-On one core the caller parks all 190 streams up front and each end unpacks
-its own: the benchmark's secagg_k20_1m op takes 1,012-1,072 ms and peaks
-at 375.7 MB (taskset -c 0 on a 2-vCPU KVM guest, 4 runs), against
-912-1,063 ms and 373.7 MB for a path on which the first end of a pair
-hashed the stream and read its bits unpacked.  The rest is numpy passes:
-per pair, the fill and pack of its stream; per peer, one add into the
-count and the unpack of its stream; per client, the scaling multiply, the
-float64 upload and its finite check; and the mean over the cohort.
+On one core the calling process expands all 190 streams and builds the 20
+counts: the benchmark's secagg_k20_1m op takes 794-937 ms and peaks at
+370.2 MB (taskset -c 0 on a 2-vCPU KVM guest, 3 runs).  The rest is numpy
+passes: per pair, the fill and pack of its stream, one unpack and two adds
+into the counts; per client, the scaling multiply, the float64 upload and
+its finite check; and the mean over the cohort.
 """
 
 from __future__ import annotations
@@ -120,9 +125,9 @@ class MaskingContext:
     """One round's cohort and pair keys, derived once; it keeps no round seed.
 
     `keys[i]` is client i's row of packed pair keys, None at index i, and
-    `keys[i][j] is keys[j][i]`.  `streams` is the round's parked-stream
-    cache: (i, j, tensor offsets) -> the pair's packed keystream, parked
-    under (i, j) and (j, i) and popped by each end.
+    `keys[i][j] is keys[j][i]`.  `counts` is the round's parked-count
+    cache: (i, tensor offsets) -> client i's count c of +gamma terms,
+    parked by a masking pass and popped by client i.
     """
 
     def __init__(self, round_seed, round_index: int, num_clients: int,
@@ -147,7 +152,7 @@ class MaskingContext:
         self.keys = [[None] * num_clients for _ in range(num_clients)]
         for i, j in itertools.combinations(range(num_clients), 2):
             self.keys[i][j] = self.keys[j][i] = pack_bits(derive_pair_key(seed, round_index, i, j))
-        self.streams = {}
+        self.counts = {}
 
 
 @dataclass
@@ -180,37 +185,18 @@ def mask_keystream(key: bytes, tensor_ordinal: int, num_bits: int) -> np.ndarray
     return sha256_expand_bits(key + le64(tensor_ordinal), num_bits)
 
 
-def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> ParamVec:
+def pair_mask_sum(pv: ParamVec, count: np.ndarray, num_clients: int, gamma: float) -> ParamVec:
     """Signed sum of all pair masks for one client, laid out like `pv`.
 
-    `row` is the client's row of packed pair keys, None at its own index i.
-    Client i adds m_ij for j > i and subtracts it for j < i; the tensor
-    ordinal is the entry's position in canonical order.  Each element is
-    (2c - (K - 1)) * gamma, where c counts its +gamma terms.  Each peer j's
-    bits are the pair's packed stream, popped from `streams` under
-    (i, j, tensor offsets); nothing is hashed here.
+    `count` is the client's count c, one unsigned integer per element (see
+    _park_counts); each element of the sum is (2c - (K - 1)) * gamma.  The
+    count is scaled in place, and nothing is hashed here.
     """
-    offsets = pvops.offsets(pv.layout)
-    k, n = len(row), pv.total_len
-    client_index = row.index(None)
-    # Every peer below starts as a +gamma term and loses it where its bit is 1.
-    # The count is unsigned as wide as the smallest signed type that holds
-    # -(K - 1)..K - 1, so 2c - (K - 1) can be formed in place below.
-    width = np.min_scalar_type(-k).itemsize
-    count = np.full(n, client_index, dtype=f"u{width}")
-    for j in range(k):
-        if j == client_index:
-            continue
-        bits = np.unpackbits(streams.pop((client_index, j, offsets)), count=n)
-        if j < client_index:
-            np.subtract(count, bits, out=count)
-        else:
-            np.add(count, bits, out=count)
     # 2c - (K - 1) wraps modulo 2**(8 * width) on the way; the result lies in
     # -(K - 1)..K - 1 and reads back exactly through the signed view.
     count += count
-    count -= k - 1
-    signed = count.view(f"i{width}")
+    count -= num_clients - 1
+    signed = count.view(f"i{count.itemsize}")
     (step,) = signs_from_bits(np.ones(1, dtype=np.uint8), gamma)
     total = np.multiply(signed, step, dtype=np.float64)
     if step == 0.0:
@@ -218,25 +204,22 @@ def pair_mask_sum(pv: ParamVec, row: list, gamma: float, streams: dict) -> Param
     return ParamVec.from_buffer(pv.layout, total)
 
 
-def _park_every_pair(ctx: MaskingContext, offsets: tuple[int, ...], processes: int) -> None:
-    """Expand the stream of every pair of `ctx` with an end not parked for
-    `offsets` and park it under both ends.  A pass of at least
+def _park_counts(ctx: MaskingContext, offsets: tuple[int, ...], processes: int) -> None:
+    """Expand every pair's stream for `offsets` and park each client's count
+    c under (i, offsets) in ctx.counts.  A pass of at least
     _PARALLEL_MIN_BLOCKS blocks is dealt round-robin to this process and up
     to `processes - 1` forked children, where this process may fork; any
     other runs in this process alone."""
-    k = ctx.cohort.num_clients
-    pairs = [
-        (i, j) for i, j in itertools.combinations(range(k), 2)
-        if (i, j, offsets) not in ctx.streams or (j, i, offsets) not in ctx.streams
-    ]
-    pass_blocks = math.comb(k, 2) * sum(
+    k, n = ctx.cohort.num_clients, offsets[-1]
+    pairs = list(itertools.combinations(range(k), 2))
+    pass_blocks = len(pairs) * sum(
         -(-(stop - start) // 256) for start, stop in zip(offsets, offsets[1:])
     )
     if pass_blocks < _PARALLEL_MIN_BLOCKS or not forks.may_fork():
         processes = 1
 
     def expand(share):
-        bits = np.empty(offsets[-1], dtype=np.uint8)
+        bits = np.empty(n, dtype=np.uint8)
         expanded = []
         for i, j in share:
             for ordinal, (start, stop) in enumerate(zip(offsets, offsets[1:])):
@@ -245,20 +228,31 @@ def _park_every_pair(ctx: MaskingContext, offsets: tuple[int, ...], processes: i
         return expanded
 
     shares = [pairs[s::processes] for s in range(min(processes, len(pairs)))]
-    for expanded in forks.fan_out(expand, shares, "keystream process of pairs"):
+    results = forks.fan_out(expand, shares, "keystream process of pairs")
+    # Every peer below starts as a +gamma term and loses it where its bit is 1.
+    # The count is unsigned as wide as the smallest signed type that holds
+    # -(K - 1)..K - 1, so pair_mask_sum can form 2c - (K - 1) in place.  Each
+    # count is its own array, freed once its client has masked.
+    width = np.min_scalar_type(-k).itemsize
+    counts = [np.full(n, i, dtype=f"u{width}") for i in range(k)]
+    for expanded in results:
         for i, j, packed in expanded:
-            ctx.streams[i, j, offsets] = ctx.streams[j, i, offsets] = packed
+            bits = np.unpackbits(packed, count=n)
+            counts[i] += bits
+            counts[j] -= bits
+    ctx.counts.update(((i, offsets), count) for i, count in enumerate(counts))
 
 
 def apply_pairwise_masks(
     pv: ParamVec, client_index: int, ctx: MaskingContext, processes: int | None = None
 ) -> MaskedUpdate:
-    """Mask one client's parameters for upload, with its row of pair keys.
+    """Mask one client's parameters for upload, with its count of pair bits.
 
-    When the client needs a pair stream that is not parked for this layout,
-    every pair's stream with an end not parked is first expanded and parked
-    (_park_every_pair), in up to `processes` processes (None means
-    `usable_cores()`).  It changes no output byte.
+    When the client's count is not parked for this layout, every pair's
+    stream is first expanded and every client's count parked
+    (_park_counts), in up to `processes` processes (None means
+    `usable_cores()`).  The client then pops its count.  It changes no
+    output byte.
     """
     k = ctx.cohort.num_clients
     if not 0 <= client_index < k:
@@ -272,12 +266,12 @@ def apply_pairwise_masks(
     offsets = pvops.offsets(pv.layout)
     if any(start == stop for start, stop in zip(offsets, offsets[1:])):
         raise ValueError("cannot mask a tensor with no elements")
-    if any((client_index, j, offsets) not in ctx.streams for j in range(k) if j != client_index):
-        _park_every_pair(ctx, offsets, processes)
-    row = ctx.keys[client_index]
+    if (client_index, offsets) not in ctx.counts:
+        _park_counts(ctx, offsets, processes)
+    count = ctx.counts.pop((client_index, offsets))
     # A large enough gamma overflows to +/-inf here; aggregate rejects the mean.
     with np.errstate(over="ignore"):
-        masked = pvops.add(pv, pair_mask_sum(pv, row, ctx.mask_scale, ctx.streams))
+        masked = pvops.add(pv, pair_mask_sum(pv, count, k, ctx.mask_scale))
     return MaskedUpdate(client_index, ctx.cohort, masked)
 
 

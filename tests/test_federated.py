@@ -362,6 +362,21 @@ class TestConcurrentClients:
         with pytest.raises(ValueError, match="trainers"):
             run_round(init_params(CHANNEL_SPEC), shards, make_cfg("plain"), trainers=0)
 
+    @pytest.mark.parametrize("eve_present", [False, True], ids=["secure", "aborted"])
+    def test_trainers_below_one_rejected_before_key_agreement(self, monkeypatch, eve_present):
+        # With Eve the round would abort and train nothing; it still raises.
+        shards, _ = channel_setup()
+        cfg = make_cfg("qkd_sa", bb84=BB84Config(eve_present=eve_present))
+        _, report = run_round(init_params(CHANNEL_SPEC), shards, cfg, trainers=1)
+        assert report.status == (STATUS_ABORTED if eve_present else STATUS_SECURE)
+
+        def run_bb84(config):
+            raise AssertionError("key agreement ran")
+
+        monkeypatch.setattr(federated, "run_bb84", run_bb84)
+        with pytest.raises(ValueError, match="trainers must be >= 1, got 0"):
+            run_round(init_params(CHANNEL_SPEC), shards, cfg, trainers=0)
+
     @pytest.mark.parametrize(
         "sizes,groups,dealt",
         [

@@ -62,13 +62,12 @@ def make_ctx(num_clients=4, round_index=0, seed=0, **kw):
 
 
 def mask_sum(pv, client_index, ctx):
-    """`pair_mask_sum` over the client's row, as `apply_pairwise_masks` calls
-    it: the layout's streams are parked first."""
-    offsets = pvops.offsets(pv.layout)
-    peers = [j for j in range(ctx.cohort.num_clients) if j != client_index]
-    if any((client_index, j, offsets) not in ctx.streams for j in peers):
-        masking._park_every_pair(ctx, offsets, 1)
-    return pair_mask_sum(pv, ctx.keys[client_index], ctx.mask_scale, ctx.streams)
+    """`pair_mask_sum` over the client's count, as `apply_pairwise_masks`
+    calls it: the layout's counts are parked first, and the client's popped."""
+    key = (client_index, pvops.offsets(pv.layout))
+    if key not in ctx.counts:
+        masking._park_counts(ctx, key[1], 1)
+    return pair_mask_sum(pv, ctx.counts.pop(key), ctx.cohort.num_clients, ctx.mask_scale)
 
 
 def random_pv(rng, scale=1.0):
@@ -662,21 +661,22 @@ class TestPairStreamMemo:
             ref = apply_pairwise_masks(pvs[c], c, fresh).params
             assert got.buf.tobytes() == ref.buf.tobytes()
             if step == 0:
-                parked = dict(ctx.streams)
+                parked = dict(ctx.counts)
                 for bad in (-1, k):
                     with pytest.raises(InvalidPairError):
                         apply_pairwise_masks(pvs[0], bad, ctx)
-                assert ctx.streams.keys() == parked.keys()
+                assert ctx.counts.keys() == parked.keys()
+        offsets = pvops.offsets(pvs[0].layout)
         if repeat is None:
-            assert ctx.streams == {}
+            assert ctx.counts == {}
         else:
-            # The repeat's second mask re-parks every pair with an end already
-            # popped, so the other clients that masked before it are left
-            # with their ends parked.
+            # The repeat's second mask runs a second pass, which parks again
+            # the counts of the clients that masked before it: they are left,
+            # at most K - 1 of them.
             second = len(order) - 1 - order[::-1].index(repeat)
             before = set(order[:second]) - {repeat}
-            pending = {(i, j) for i, j, _ in ctx.streams}
-            assert pending == {(i, j) for i in before for j in range(k) if j != i}
+            assert ctx.counts.keys() == {(i, offsets) for i in before}
+            assert len(ctx.counts) <= k - 1
 
     def test_streams_are_not_shared_across_layouts(self):
         # The second end's upload has another layout, so it must expand its own.
@@ -715,7 +715,7 @@ class TestPairStreamMemo:
             counts.update(keys=0, streams=0)
             batch = [apply_pairwise_masks(pv, c, ctx, processes) for c, pv in enumerate(pvs)]
             assert counts == {"keys": 0, "streams": k * (k - 1) // 2 * tensors}
-            assert ctx.streams == {}
+            assert ctx.counts == {}
             assert pvops.max_abs_diff(aggregate(batch), pvops.mean(pvs)) <= 1e-12
 
     def test_mask_sum_hashes_nothing_once_the_layout_is_parked(self, monkeypatch):
@@ -724,16 +724,17 @@ class TestPairStreamMemo:
         pv = mixed_pv(rng)
         ctx = make_ctx(num_clients=k, mask_scale=0.37)
         want = [count_pair_mask_sum(pv, c, ctx) for c in range(k)]
-        masking._park_every_pair(ctx, pvops.offsets(pv.layout), 1)
+        offsets = pvops.offsets(pv.layout)
+        masking._park_counts(ctx, offsets, 1)
+        assert ctx.counts.keys() == {(c, offsets) for c in range(k)}
 
         def mask_keystream(*args):
-            raise AssertionError("pair_mask_sum hashed a stream")
+            raise AssertionError("a parked count was hashed again")
 
         monkeypatch.setattr(masking, "mask_keystream", mask_keystream)
         for c in range(k):
-            got = pair_mask_sum(pv, ctx.keys[c], ctx.mask_scale, ctx.streams)
-            assert got.buf.tobytes() == want[c].buf.tobytes()
-        assert ctx.streams == {}
+            assert mask_sum(pv, c, ctx).buf.tobytes() == want[c].buf.tobytes()
+        assert ctx.counts == {}
 
 
 class TestParallelPass:
@@ -778,6 +779,27 @@ class TestParallelPass:
         assert forks[0] >= min(processes, k * (k - 1) // 2) - 1
         assert_no_child_left()
 
+    def test_real_size_pass_forks_at_the_threshold(self, forks):
+        # One 270,000-parameter tensor takes 1,055 blocks per pair: 200,450
+        # for the 190 pairs of K = 20, with the threshold left as it ships.
+        k, n = 20, 270_000
+        assert k * (k - 1) // 2 * -(-n // 256) >= masking._PARALLEL_MIN_BLOCKS
+        rng = np.random.default_rng(20)
+        pvs = [ParamVec([("w", rng.standard_normal(n))]) for _ in range(k)]
+
+        def digests(processes):
+            ctx = make_ctx(num_clients=k, seed=k)
+            batch = [apply_pairwise_masks(pv, c, ctx, processes) for c, pv in enumerate(pvs)]
+            assert ctx.counts == {}
+            uploads = [m.params.buf for m in batch] + [aggregate(batch).buf]
+            return [hashlib.sha256(buf.tobytes()).hexdigest() for buf in uploads]
+
+        serial = digests(1)
+        assert forks == [0]
+        assert digests(2) == serial
+        assert forks[0] >= 1
+        assert_no_child_left()
+
     @pytest.mark.parametrize("threshold,children", [(9, 1), (10, 0)])
     def test_threshold_counts_the_pass_blocks(self, monkeypatch, forks, threshold, children):
         # 300 elements take 2 blocks and 1 element 1: 3 per pair, 9 for K = 3.
@@ -787,7 +809,7 @@ class TestParallelPass:
         apply_pairwise_masks(pv, 0, ctx, 2)
         assert forks == [children]
         offsets = pvops.offsets(pv.layout)
-        assert ctx.streams.keys() == {(i, j, offsets) for i in (1, 2) for j in range(3) if j != i}
+        assert ctx.counts.keys() == {(1, offsets), (2, offsets)}
 
     @pytest.mark.parametrize("on_thread,processes", [(True, 3), (False, 1)])
     def test_forks_nothing_on_a_second_thread_or_in_one_process(
@@ -830,7 +852,7 @@ class TestParallelPass:
             TrainerExitError, match=r"keystream process of pairs \[\(0, 2\)\] exited with code 3"
         ):
             apply_pairwise_masks(random_pv(np.random.default_rng(0)), 0, ctx, 2)
-        assert ctx.streams == {}
+        assert ctx.counts == {}
         assert_no_child_left()
 
     def test_interrupt_kills_a_child_blocked_on_a_full_pipe(self, monkeypatch, deadline):
@@ -1052,9 +1074,9 @@ class TestMaskingContext:
         packed = np.packbits(seed).tobytes()
         ctx = MaskingContext(round_seed=seed, round_index=0, num_clients=3)
         rng = np.random.default_rng(13)
-        for c in range(2):  # two of three clients mask, so streams stay parked
+        for c in range(2):  # two of three clients mask, so a count stays parked
             apply_pairwise_masks(random_pv(rng), c, ctx)
-        assert ctx.streams
+        assert ctx.counts
 
         def leaves(value):
             if isinstance(value, (list, tuple)):
